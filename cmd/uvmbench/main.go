@@ -52,6 +52,12 @@
 // `uvmbench merge a.json b.json ...` over a complete partition prints
 // output byte-identical to the unsharded run).
 //
+// Every flag that chooses what to compute parses into a serve.Spec, the
+// type POST /v1/experiments bodies decode into and shard artifacts
+// embed, and is resolved once before the first subcommand runs: the
+// defaults and the errors are the server's (zero means the default, so
+// -i 0 runs 30 iterations; a bad name fails before anything prints).
+//
 // The serve subcommand runs the experiment service (internal/serve):
 // POST /v1/experiments computes figures (responses byte-identical to
 // -json output for the same spec), /metrics exposes the Prometheus
@@ -76,6 +82,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strconv"
 	"strings"
 
 	"uvmasim/internal/core"
@@ -96,24 +104,18 @@ func main() {
 	}
 }
 
-// options carries the per-invocation settings dispatch needs beyond the
-// Runner itself.
+// options carries the CLI's output concerns; what a run computes lives
+// in its serve.Spec.
 type options struct {
-	out       io.Writer // artifact destination (io.Discard in -shard mode)
-	sizeName  string    // raw -size value (recorded in shard specs)
-	sizeOr    func(def workloads.Size) (workloads.Size, error)
-	jobs      int
-	json      bool
-	workload  string
+	out    io.Writer // artifact destination (io.Discard in -shard mode)
+	json   bool
+	outDir string
+	// setupName is the trace -setup ("" = every study setup); traceGrid
+	// records that -gpus, -topology or -policy was given, which makes
+	// trace write multigpu schedule timelines instead.
 	setupName string
-	gpus      string // -gpus device-count list for multigpu ("" = default grid)
-	topology  string // -topology interconnect list for multigpu
-	policy    string // -policy placement for multigpu
-	setups    []cuda.Setup // resolved -setups study list (nil = paper five)
-	outDir    string
-	profiles  string            // -profiles list for compare-profiles
-	fixed     []profile.Profile // pre-resolved compare-profiles set (merge replay)
-	rest      []string          // arguments after the subcommand (profiles show/dump)
+	traceGrid bool
+	rest      []string // arguments after the subcommand (profiles show/dump)
 	// reg is the invocation's metrics registry (nil in merge replay);
 	// traceTotals accumulates the trace subcommand's counter-registry
 	// totals. Both feed the cache-summary JSON doc.
@@ -136,42 +138,14 @@ func (o *options) emit(text func() string, doc core.FigureDoc) error {
 	return nil
 }
 
-// commandNames lists every subcommand, for upfront validation (a typo in
-// `fig4,nope` must fail before fig4 spends seconds simulating).
-var commandNames = []string{
-	"list", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "micro", "apps", "oversub", "multigpu",
-	"trace", "profiles", "compare-profiles", "merge", "serve", "all",
-}
+// cliCommands are the subcommands that are not figures of the run spec:
+// inventories, trace timelines, and the merge and serve modes.
+var cliCommands = []string{"list", "trace", "profiles", "merge", "serve"}
 
-func knownCommand(cmd string) bool {
-	for _, c := range commandNames {
-		if c == cmd {
-			return true
-		}
-	}
-	return false
-}
-
-func containsCmd(cmds []string, want string) bool {
-	for _, c := range cmds {
-		if c == want {
-			return true
-		}
-	}
-	return false
-}
-
-// shardable reports whether a subcommand's cells can be partitioned.
-// Inventory listings and trace (whose artifact is a timeline, not cells)
-// cannot; merge is the consumer side of sharding.
-func shardable(cmd string) bool {
-	switch cmd {
-	case "trace", "list", "profiles", "merge", "serve":
-		return false
-	}
-	return true
-}
+// specFigure reports whether a subcommand is a figure of the run spec
+// ("all" included). Only those have cells, so only those can run
+// sharded.
+func specFigure(cmd string) bool { return cmd == "all" || serve.IsFigure(cmd) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("uvmbench", flag.ContinueOnError)
@@ -181,22 +155,30 @@ func run(args []string) error {
 	// copy; parse errors are reported once by main, with a nearest-flag
 	// suggestion (see flagError).
 	fs.SetOutput(io.Discard)
-	iters := fs.Int("i", core.DefaultIterations, "iterations per configuration")
-	seed := fs.Int64("seed", 1, "base random seed")
-	sizeName := fs.String("size", "", "override input-size class (tiny..mega)")
-	jobs := fs.Int("jobs", 8, "batch size for the fig14 pipeline model and the multigpu grid")
-	gpusCSV := fs.String("gpus", "", "multigpu: comma-separated device counts to sweep (empty = "+serve.DefaultGPUs+")")
-	topology := fs.String("topology", "", "multigpu: comma-separated interconnects, pcie-switch and/or nvlink (empty = "+serve.DefaultTopology+")")
-	policy := fs.String("policy", "", "multigpu: placement policy, first-fit, least-loaded or bandwidth-aware (empty = "+serve.DefaultPolicy+")")
+	// Flags that say what to compute parse into the run spec, the same
+	// type a POST body decodes into; zero values mean the defaults.
+	var spec serve.Spec
+	o := &options{out: os.Stdout}
+	fs.IntVar(&spec.Iters, "i", 0, fmt.Sprintf("iterations per configuration (0 = %d)", serve.DefaultIters))
+	fs.Func("seed", fmt.Sprintf("base random seed (default %d)", serve.DefaultSeed), func(v string) error {
+		n, err := strconv.ParseInt(v, 10, 64)
+		spec.Seed = &n
+		return err
+	})
+	fs.StringVar(&spec.Size, "size", "", "override input-size class (tiny..mega)")
+	fs.IntVar(&spec.Jobs, "jobs", 0, fmt.Sprintf("batch size for the fig14 pipeline model and the multigpu grid (0 = %d)", serve.Defaults.Jobs))
+	fs.Func("gpus", fmt.Sprintf("multigpu: comma-separated device counts to sweep (empty = %v)", serve.Defaults.GPUs), serve.CountsFlag(&spec.GPUs))
+	fs.Func("topology", fmt.Sprintf("multigpu: comma-separated interconnects, pcie-switch and/or nvlink (empty = %v)", serve.Defaults.Topology), serve.ListFlag(&spec.Topology))
+	fs.StringVar(&spec.Policy, "policy", "", "multigpu: placement policy, first-fit, least-loaded or bandwidth-aware (empty = "+serve.Defaults.Policy+")")
 	par := fs.Int("par", 0, "experiment executor workers (0 = all cores, 1 = serial); output is identical at any value")
-	itpar := fs.Int("itpar", 0, "intra-cell iteration workers (0 = executor width, 1 = serial iterations); output is identical at any value")
-	jsonOut := fs.Bool("json", false, "emit figure data as a JSON document instead of a text table")
-	workload := fs.String("workload", "gemm", "workload for the trace and compare-profiles subcommands")
-	setupName := fs.String("setup", "", "setup for the trace subcommand (empty = every study setup)")
-	setupsCSV := fs.String("setups", "", "comma-separated registered setups every study iterates (empty = the paper's five)")
-	outDir := fs.String("out", ".", "directory for trace output files")
-	prof := fs.String("profile", profile.DefaultName, "hardware profile: a built-in name (see 'uvmbench profiles') or a profile JSON file")
-	profs := fs.String("profiles", "", "comma-separated profiles for compare-profiles (empty = all built-ins)")
+	fs.IntVar(&spec.ItPar, "itpar", 0, "intra-cell iteration workers (0 = executor width, 1 = serial iterations); output is identical at any value")
+	fs.BoolVar(&o.json, "json", false, "emit figure data as a JSON document instead of a text table")
+	fs.StringVar(&spec.Workload, "workload", "", "workload for the trace and compare-profiles subcommands (empty = "+serve.Defaults.Workload+")")
+	fs.StringVar(&o.setupName, "setup", "", "setup for the trace subcommand (empty = every study setup)")
+	fs.Func("setups", "comma-separated registered setups every study iterates (empty = the paper's five)", serve.ListFlag(&spec.Setups))
+	fs.StringVar(&o.outDir, "out", ".", "directory for trace output files")
+	fs.StringVar(&spec.Profile, "profile", "", "hardware profile: a built-in name (see 'uvmbench profiles') or a profile JSON file (empty = "+profile.DefaultName+")")
+	fs.Func("profiles", "comma-separated profiles for compare-profiles (empty = all built-ins)", serve.ListFlag(&spec.Profiles))
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent cell store (created if missing); cell hits skip simulation, misses are written back")
@@ -231,144 +213,102 @@ func run(args []string) error {
 	if *par < 0 {
 		return fmt.Errorf("-par must be >= 0, got %d", *par)
 	}
-	if *itpar < 0 {
-		return fmt.Errorf("-itpar must be >= 0, got %d", *itpar)
-	}
+	o.rest = fs.Args()[1:]
+	o.traceGrid = spec.GPUs != nil || spec.Topology != nil || spec.Policy != ""
 
 	// Validate everything cheap before the first simulation: subcommand
-	// names, the shard spec, output paths, profile files, the cell-store
-	// directory. A typo in any of them must fail in milliseconds, not
-	// after a full sweep.
+	// names, the run spec, the shard spec, output paths, profile files,
+	// the cell-store directory. A typo in any of them must fail in
+	// milliseconds, not after a full sweep.
 	cmds := strings.Split(fs.Arg(0), ",")
 	for _, cmd := range cmds {
-		if !knownCommand(cmd) {
-			return fmt.Errorf("unknown subcommand %q%s", cmd, nearest.Hint(cmd, commandNames, 2))
+		switch {
+		case specFigure(cmd):
+			spec.Figures = append(spec.Figures, cmd)
+		case !slices.Contains(cliCommands, cmd):
+			known := append(append([]string{"all"}, serve.FigureNames...), cliCommands...)
+			return fmt.Errorf("unknown subcommand %q%s", cmd, nearest.Hint(cmd, known, 2))
 		}
 	}
-	var studySetups []cuda.Setup
-	if *setupsCSV != "" {
-		var err error
-		studySetups, err = cuda.ParseSetupList(*setupsCSV)
-		if err != nil {
-			return fmt.Errorf("-setups: %w", err)
+	// The CLI's machine lookup also reads profile files.
+	req, err := spec.Resolve(func(name string) (profile.Profile, error) {
+		if name == "" {
+			return profile.Default(), nil
 		}
+		return profile.Resolve(name)
+	})
+	if err != nil {
+		return err
 	}
-	if *gpusCSV != "" || *topology != "" || *policy != "" || containsCmd(cmds, "multigpu") {
-		if _, _, _, err := serve.ResolveMultiGPU(serve.FigureOptions{
-			GPUs: *gpusCSV, Topology: *topology, Policy: *policy,
-		}); err != nil {
+	if o.setupName != "" {
+		if _, err := cuda.ParseSetup(o.setupName); err != nil {
 			return err
 		}
 	}
-	if containsCmd(cmds, "merge") {
+	if slices.Contains(cmds, "merge") {
 		if len(cmds) != 1 {
 			return fmt.Errorf("merge cannot be combined with other subcommands")
 		}
 		if *shard != "" {
 			return fmt.Errorf("-shard does not apply to merge (it consumes shard artifacts)")
 		}
-		return runMerge(fs.Args()[1:], *par, *itpar, *jsonOut, *cacheDir)
+		return runMerge(o.rest, *par, req.ItPar, o.json, *cacheDir)
 	}
-	if containsCmd(cmds, "serve") {
+	if slices.Contains(cmds, "serve") {
 		if len(cmds) != 1 {
 			return fmt.Errorf("serve cannot be combined with other subcommands")
 		}
 		if *shard != "" {
 			return fmt.Errorf("-shard does not apply to serve")
 		}
-		return runServe(*addr, *maxInflight, *par, *itpar, *cacheDir, *prof)
+		return runServe(*addr, *maxInflight, *par, req.ItPar, *cacheDir, req.Profile)
 	}
 	shardIdx, shardCnt := 0, 0
+	var pinned serve.Spec
+	var machines map[string]profile.Profile
 	if *shard != "" {
-		var err error
 		shardIdx, shardCnt, err = parseShard(*shard)
 		if err != nil {
 			return err
 		}
 		for _, cmd := range cmds {
-			if !shardable(cmd) {
+			if !specFigure(cmd) {
 				return fmt.Errorf("subcommand %s cannot run sharded", cmd)
 			}
 		}
+		if pinned, machines, err = pinRun(cmds, req); err != nil {
+			return err
+		}
 	}
-	if containsCmd(cmds, "trace") {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if slices.Contains(cmds, "trace") {
+		if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 			return fmt.Errorf("-out: %w", err)
 		}
 	}
 
-	p, err := profile.Resolve(*prof)
-	if err != nil {
-		return err
-	}
-	r := core.NewRunnerFor(p)
-	r.Iterations = *iters
-	r.BaseSeed = *seed
+	r := core.NewRunnerFor(req.Profile)
 	r.Parallelism = *par
-	r.IterParallelism = *itpar
-	r.Setups = studySetups
+	req.Configure(r)
 	// Every invocation carries a metrics registry: batch runs expose the
 	// same counter/histogram numbers in the cache-summary doc that a
 	// serve process exports over /metrics.
-	reg := metrics.New()
-	r.InstrumentMetrics(reg)
+	o.reg = metrics.New()
+	r.InstrumentMetrics(o.reg)
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
 			return err
 		}
-		st.Instrument(reg)
+		st.Instrument(o.reg)
 		r.Store = st
 	}
-
-	o := &options{
-		out:       os.Stdout,
-		sizeName:  *sizeName,
-		jobs:      *jobs,
-		json:      *jsonOut,
-		workload:  *workload,
-		setupName: *setupName,
-		gpus:      *gpusCSV,
-		topology:  *topology,
-		policy:    *policy,
-		setups:    studySetups,
-		outDir:    *outDir,
-		profiles:  *profs,
-		rest:      fs.Args()[1:],
-		reg:       reg,
-	}
-	o.sizeOr = sizeOrFunc(*sizeName)
-
-	var spec shardSpec
 	if shardCnt > 0 {
 		// Shard mode: normal output is suppressed (its cells are mostly
 		// placeholders); the run's product is the captured-cell artifact.
-		// The spec embeds everything merge needs to replay the run
-		// hermetically, the full resolved profile included.
 		r.ShardIndex, r.ShardCount = shardIdx, shardCnt
 		r.Capture = store.NewMem()
 		o.out = io.Discard
 		o.json = false
-		spec = shardSpec{
-			Commands: cmds,
-			Iters:    *iters,
-			Seed:     *seed,
-			Size:     *sizeName,
-			Jobs:     *jobs,
-			Workload: *workload,
-			Setups:   setupNames(studySetups),
-			Gpus:     *gpusCSV,
-			Topology: *topology,
-			Policy:   *policy,
-			Profile:  p,
-		}
-		if containsCmd(cmds, "compare-profiles") {
-			ps, err := serve.ResolveProfiles(*profs)
-			if err != nil {
-				return err
-			}
-			spec.Profiles = ps
-		}
 	}
 
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
@@ -377,43 +317,35 @@ func run(args []string) error {
 	}
 
 	for _, cmd := range cmds {
-		if err := dispatch(r, cmd, o); err != nil {
+		if err := dispatch(r, cmd, req, o); err != nil {
 			stopProfiles()
 			return err
 		}
 	}
 	if shardCnt > 0 {
+		// The artifact embeds the resolved spec and its machines, which
+		// is everything merge needs to replay the run hermetically.
 		docs := r.Capture.Docs()
 		if err := emitShardArtifact(os.Stdout, shardArtifact{
 			Schema:               store.SchemaVersion,
-			Spec:                 spec,
+			Spec:                 pinned,
+			Machines:             machines,
 			ShardIndex:           shardIdx,
 			ShardCount:           shardCnt,
-			EstimatedCellSeconds: estimateArtifactSeconds(spec, docs),
+			EstimatedCellSeconds: estimateArtifactSeconds(req.Profile, machines, docs),
 			ActualCellSeconds:    r.SimulatedSeconds(),
 			Cells:                docs,
 		}); err != nil {
 			stopProfiles()
 			return err
 		}
-	} else if containsCmd(cmds, "all") || r.Store != nil {
+	} else if slices.Contains(cmds, "all") || r.Store != nil {
 		// The two-tier traffic summary rides along with every
 		// store-backed run (satellite: not just `all`): on stderr, so
 		// stdout artifacts stay byte-comparable cold vs warm.
 		printCacheSummary(r, o)
 	}
 	return stopProfiles()
-}
-
-// sizeOrFunc builds the -size resolution closure: an empty override
-// keeps each subcommand's default class.
-func sizeOrFunc(name string) func(def workloads.Size) (workloads.Size, error) {
-	return func(def workloads.Size) (workloads.Size, error) {
-		if name == "" {
-			return def, nil
-		}
-		return workloads.ParseSize(name)
-	}
 }
 
 // printCacheSummary reports both cache tiers after an `all` or any
@@ -529,7 +461,7 @@ func flagError(fs *flag.FlagSet, err error) error {
 	return fmt.Errorf("unknown flag -%s (run 'uvmbench -h' for the flag list)", name)
 }
 
-func dispatch(r *core.Runner, cmd string, o *options) error {
+func dispatch(r *core.Runner, cmd string, req *serve.Request, o *options) error {
 	switch cmd {
 	case "list":
 		fmt.Fprintln(o.out, "microbenchmarks:")
@@ -558,31 +490,21 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 		// the HTTP service, which is what keeps POST /v1/experiments
 		// responses byte-identical to -json output: both sides render the
 		// same documents from the same code.
-		text, doc, err := serve.Figure(r, cmd, serve.FigureOptions{
-			Size:        o.sizeName,
-			Jobs:        o.jobs,
-			Workload:    o.workload,
-			ProfilesCSV: o.profiles,
-			Profiles:    o.fixed,
-			GPUs:        o.gpus,
-			Topology:    o.topology,
-			Policy:      o.policy,
-		})
+		text, doc, err := serve.Figure(r, cmd, req.Opt)
 		if err != nil {
 			return err
 		}
 		return o.emit(text, doc)
 
 	case "trace":
-		return runTrace(r, o)
+		return runTrace(r, req, o)
 
 	case "all":
-		for _, sub := range []string{"table3", "fig4", "fig5", "fig6", "fig7", "fig8",
-			"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "oversub", "multigpu"} {
+		for _, sub := range serve.AllFigures {
 			if !o.json {
 				fmt.Fprintf(o.out, "==== %s ====\n", sub)
 			}
-			if err := dispatch(r, sub, o); err != nil {
+			if err := dispatch(r, sub, req, o); err != nil {
 				return err
 			}
 			if !o.json {
@@ -600,14 +522,12 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 // selected by passing any of -gpus/-topology/-policy to the trace
 // subcommand, and replays the same deterministic schedules the multigpu
 // figure measures (same workload, setup and default grid).
-func runMultiGPUTrace(r *core.Runner, o *options) error {
-	size, err := o.sizeOr(workloads.Super)
+func runMultiGPUTrace(r *core.Runner, opt serve.FigureOptions, o *options) error {
+	size, err := opt.SizeOr(workloads.Super)
 	if err != nil {
 		return err
 	}
-	gpus, topos, policy, err := serve.ResolveMultiGPU(serve.FigureOptions{
-		GPUs: o.gpus, Topology: o.topology, Policy: o.policy,
-	})
+	gpus, topos, policy, err := opt.MultiGPU()
 	if err != nil {
 		return err
 	}
@@ -619,7 +539,7 @@ func runMultiGPUTrace(r *core.Runner, o *options) error {
 		for _, g := range gpus {
 			for _, schedName := range []string{"serial", "pipelined"} {
 				st, err := r.MultiGPUTrace("vector_seq", cuda.UVMPrefetchAsync, size,
-					o.jobs, kind, g, policy, schedName == "pipelined")
+					opt.Jobs, kind, g, policy, schedName == "pipelined")
 				if err != nil {
 					return err
 				}
@@ -701,15 +621,15 @@ func runProfiles(o *options) error {
 // a Chrome trace-event file under -out. The runs fan out across the
 // executor (each binds its own tracer), and the files are byte-identical
 // for a given seed at any -par.
-func runTrace(r *core.Runner, o *options) error {
-	if o.gpus != "" || o.topology != "" || o.policy != "" {
-		return runMultiGPUTrace(r, o)
+func runTrace(r *core.Runner, req *serve.Request, o *options) error {
+	if o.traceGrid {
+		return runMultiGPUTrace(r, req.Opt, o)
 	}
-	size, err := o.sizeOr(workloads.Large)
+	size, err := req.Opt.SizeOr(workloads.Large)
 	if err != nil {
 		return err
 	}
-	setups := o.setups
+	setups := req.Setups
 	if len(setups) == 0 {
 		setups = cuda.PaperSetups()
 	}
@@ -724,7 +644,7 @@ func runTrace(r *core.Runner, o *options) error {
 		return err
 	}
 
-	results, err := r.TraceSetups(o.workload, size, setups)
+	results, err := r.TraceSetups(req.Opt.Workload, size, setups)
 	if err != nil {
 		return err
 	}

@@ -45,15 +45,25 @@ func TestCommaSeparatedCommands(t *testing.T) {
 }
 
 // capture runs the CLI with stdout redirected and returns what it
-// printed. The pipe is drained concurrently, so outputs larger than the
-// kernel pipe buffer (full -json dumps, shard artifacts) cannot
-// deadlock the writer.
+// printed, failing the test if the run errors.
 func capture(t *testing.T, args ...string) string {
 	t.Helper()
+	out, err := runCaptured(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// runCaptured runs the CLI with stdout redirected and returns what it
+// printed along with the run's error. The pipe is drained concurrently,
+// so outputs larger than the kernel pipe buffer (full -json dumps,
+// shard artifacts) cannot deadlock the writer.
+func runCaptured(args ...string) (string, error) {
 	old := os.Stdout
 	rp, wp, err := os.Pipe()
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	type readResult struct {
 		out []byte
@@ -71,12 +81,9 @@ func capture(t *testing.T, args ...string) string {
 	os.Stdout = old
 	res := <-done
 	if runErr != nil {
-		t.Fatal(runErr)
+		return string(res.out), runErr
 	}
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	return string(res.out)
+	return string(res.out), res.err
 }
 
 // TestParFlag covers the executor flag end to end: -par 1 (legacy serial

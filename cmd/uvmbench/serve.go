@@ -19,11 +19,7 @@ import (
 // requests finish, the listener closes). One metrics registry spans the
 // whole process: the serving plane, the cell cache and executor, and
 // the persistent store all report into it, and /metrics exposes it.
-func runServe(addr string, maxInflight, par, itpar int, cacheDir, profName string) error {
-	p, err := profile.Resolve(profName)
-	if err != nil {
-		return err
-	}
+func runServe(addr string, maxInflight, par, itpar int, cacheDir string, def profile.Profile) error {
 	reg := metrics.New()
 	var st core.CellStore
 	if cacheDir != "" {
@@ -44,7 +40,7 @@ func runServe(addr string, maxInflight, par, itpar int, cacheDir, profName strin
 		IterParallelism: itpar,
 		Registry:        reg,
 		Log:             log.New(os.Stderr, "", 0),
-		DefaultProfile:  p,
+		DefaultProfile:  def,
 	})
 	return s.ListenAndServe(ctx, addr)
 }

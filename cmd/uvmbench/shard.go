@@ -17,76 +17,94 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"uvmasim/internal/core"
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
+	"uvmasim/internal/serve"
 	"uvmasim/internal/store"
 )
 
-// shardSpec pins everything that determines the cell grid of a sharded
-// run, so merge can replay it hermetically: the subcommand list, the
-// runner settings, and the fully resolved hardware profile(s) — a merge
-// machine does not need the producer's profile files.
-type shardSpec struct {
-	Commands []string `json:"commands"`
-	Iters    int      `json:"iters"`
-	Seed     int64    `json:"seed"`
-	Size     string   `json:"size,omitempty"`
-	Jobs     int      `json:"jobs"`
-	Workload string   `json:"workload"`
-	// Setups is the -setups study list by registered name; empty means
-	// the paper's five (omitted from JSON, so artifacts from builds
-	// without the flag still merge).
-	Setups []string `json:"setups,omitempty"`
-	// Gpus/Topology/Policy pin the multigpu grid flags; empty means the
-	// figure defaults (omitted, so pre-multigpu artifacts still merge).
-	Gpus     string            `json:"gpus,omitempty"`
-	Topology string            `json:"topology,omitempty"`
-	Policy   string            `json:"policy,omitempty"`
-	Profile  profile.Profile   `json:"profile"`
-	Profiles []profile.Profile `json:"profiles,omitempty"`
+// shardArtifact is the printed product of a -shard run: the resolved
+// run spec (see pinRun), the machines its profile names resolved to
+// (keyed by profile name — a merge machine needs neither the producer's
+// profile files nor its built-ins), and the captured cells. It also carries the shard's cost accounting: the
+// static cost-model estimate of its cells (deterministic, comparable
+// across shards before any run) and the wall seconds this producer
+// actually spent simulating (zero when every cell was a store hit).
+// Merge reports the balance across the partition from these fields.
+type shardArtifact struct {
+	Schema               int                        `json:"schema"`
+	Spec                 serve.Spec                 `json:"spec"`
+	Machines             map[string]profile.Profile `json:"machines"`
+	ShardIndex           int                        `json:"shard_index"`
+	ShardCount           int                        `json:"shard_count"`
+	EstimatedCellSeconds float64                    `json:"estimated_cell_seconds"`
+	ActualCellSeconds    float64                    `json:"actual_cell_seconds"`
+	Cells                []store.CellDoc            `json:"cells"`
 }
 
-// setupNames maps a resolved study list back to its registered names
-// for embedding in a shard spec (nil stays nil).
-func setupNames(setups []cuda.Setup) []string {
-	if len(setups) == 0 {
+// pinRun returns the run as a shard artifact embeds it: every default
+// replaced by the value this build resolved it to, every machine named
+// by its profile name, plus the machines those names stand for. Zero
+// fields then cannot mean one thing to the producing build and another
+// to the merging one, and runs that resolve alike (`-i 30` and the
+// default, or one profile file reached by two paths) embed equal specs.
+func pinRun(cmds []string, req *serve.Request) (serve.Spec, map[string]profile.Profile, error) {
+	seed := req.Seed
+	spec := serve.Spec{
+		Figures:  cmds,
+		Profile:  req.Profile.Name,
+		Workload: req.Opt.Workload,
+		Size:     req.Opt.Size,
+		Iters:    req.Iters,
+		Seed:     &seed,
+		Jobs:     req.Opt.Jobs,
+		GPUs:     req.Opt.GPUs,
+		Policy:   req.Opt.Policy,
+	}
+	for _, k := range req.Opt.Topology {
+		spec.Topology = append(spec.Topology, string(k))
+	}
+	setups := req.Setups
+	if setups == nil {
+		setups = cuda.PaperSetups()
+	}
+	for _, st := range setups {
+		spec.Setups = append(spec.Setups, st.String())
+	}
+	machines := make(map[string]profile.Profile)
+	pin := func(p profile.Profile) error {
+		if prev, ok := machines[p.Name]; ok && prev.Fingerprint() != p.Fingerprint() {
+			return fmt.Errorf("-shard: two different machines are named %q", p.Name)
+		}
+		machines[p.Name] = p
 		return nil
 	}
-	names := make([]string, len(setups))
-	for i, s := range setups {
-		names[i] = s.String()
+	if err := pin(req.Profile); err != nil {
+		return serve.Spec{}, nil, err
 	}
-	return names
-}
-
-// shardArtifact is the printed product of a -shard run. Besides the
-// cells it carries the shard's cost accounting: the static cost-model
-// estimate of its cells (deterministic, comparable across shards before
-// any run) and the wall seconds this producer actually spent
-// simulating (zero when every cell was a store hit). Merge reports the
-// balance across the partition from these fields.
-type shardArtifact struct {
-	Schema               int             `json:"schema"`
-	Spec                 shardSpec       `json:"spec"`
-	ShardIndex           int             `json:"shard_index"`
-	ShardCount           int             `json:"shard_count"`
-	EstimatedCellSeconds float64         `json:"estimated_cell_seconds"`
-	ActualCellSeconds    float64         `json:"actual_cell_seconds"`
-	Cells                []store.CellDoc `json:"cells"`
+	if slices.Contains(req.Figures, "compare-profiles") {
+		for _, p := range req.Opt.Profiles {
+			if err := pin(p); err != nil {
+				return serve.Spec{}, nil, err
+			}
+			spec.Profiles = append(spec.Profiles, p.Name)
+		}
+	}
+	return spec, machines, nil
 }
 
 // estimateArtifactSeconds sums the static cost-model estimate over a
-// shard's captured cells. Each cell is estimated under the hardware
-// profile it actually ran on (matched by fingerprint — compare-profiles
-// shards mix machines), falling back to the spec's default profile for
-// unknown fingerprints.
-func estimateArtifactSeconds(spec shardSpec, docs []store.CellDoc) float64 {
-	cfgByFP := map[string]cuda.SystemConfig{spec.Profile.Fingerprint(): spec.Profile.Config}
-	for _, p := range spec.Profiles {
+// shard's captured cells. Each cell is estimated under the machine it
+// actually ran on (matched by fingerprint — compare-profiles shards mix
+// machines), falling back to the run's default machine.
+func estimateArtifactSeconds(def profile.Profile, machines map[string]profile.Profile, docs []store.CellDoc) float64 {
+	cfgByFP := make(map[string]cuda.SystemConfig, len(machines))
+	for _, p := range machines {
 		cfgByFP[p.Fingerprint()] = p.Config
 	}
 	var total float64
@@ -94,7 +112,7 @@ func estimateArtifactSeconds(spec shardSpec, docs []store.CellDoc) float64 {
 	for _, doc := range docs {
 		cfg, ok := cfgByFP[doc.Key.ProfileFP]
 		if !ok {
-			cfg = spec.Profile.Config
+			cfg = def.Config
 		}
 		// An unknown setup/size name still yields a usable generic
 		// estimate; flag each distinct identity once on stderr instead of
@@ -173,6 +191,85 @@ func emitShardArtifact(w io.Writer, art shardArtifact) error {
 	return err
 }
 
+// decodeShards checks that the artifacts form one complete partition of
+// one run and resolves that run's spec against the machines the
+// artifacts pin. It reads and simulates nothing, so it fails in
+// microseconds; every spec it returns names only resolvable things.
+func decodeShards(files []string, blobs [][]byte) ([]shardArtifact, *serve.Request, error) {
+	if len(files) == 0 {
+		return nil, nil, fmt.Errorf("usage: uvmbench merge <shard.json> ...")
+	}
+	arts := make([]shardArtifact, len(files))
+	var runJSON []byte
+	for i, b := range blobs {
+		// Strict decoding: an artifact from another build — an older
+		// spec layout included — fails here rather than merging wrongly.
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&arts[i]); err != nil {
+			return nil, nil, fmt.Errorf("%s: not a shard artifact: %w", files[i], err)
+		}
+		if arts[i].Schema != store.SchemaVersion {
+			return nil, nil, fmt.Errorf("%s: artifact schema v%d, this build reads v%d",
+				files[i], arts[i].Schema, store.SchemaVersion)
+		}
+		rj, err := json.Marshal([]any{arts[i].Spec, arts[i].Machines})
+		if err != nil {
+			return nil, nil, err
+		}
+		if i == 0 {
+			runJSON = rj
+		} else if !bytes.Equal(rj, runJSON) {
+			return nil, nil, fmt.Errorf("%s: produced by a different run spec than %s", files[i], files[0])
+		}
+	}
+	n := arts[0].ShardCount
+	if n < 1 || n > len(arts) {
+		return nil, nil, fmt.Errorf("incomplete partition: %d artifacts of %d shards", len(arts), n)
+	}
+	byIndex := make([]string, n+1)
+	for i, art := range arts {
+		if art.ShardCount != n {
+			return nil, nil, fmt.Errorf("%s: shard count %d, expected %d", files[i], art.ShardCount, n)
+		}
+		if art.ShardIndex < 1 || art.ShardIndex > n {
+			return nil, nil, fmt.Errorf("%s: shard index %d out of 1..%d", files[i], art.ShardIndex, n)
+		}
+		if byIndex[art.ShardIndex] != "" {
+			return nil, nil, fmt.Errorf("%s and %s are both shard %d/%d",
+				byIndex[art.ShardIndex], files[i], art.ShardIndex, n)
+		}
+		byIndex[art.ShardIndex] = files[i]
+	}
+	for i := 1; i <= n; i++ {
+		if byIndex[i] == "" {
+			return nil, nil, fmt.Errorf("incomplete partition: shard %d/%d missing", i, n)
+		}
+	}
+
+	spec := arts[0].Spec
+	if spec.Figure != "" || len(spec.Figures) == 0 {
+		return nil, nil, fmt.Errorf("%s: artifact spec must list its subcommands under figures", files[0])
+	}
+	machines := arts[0].Machines
+	for name, p := range machines {
+		if err := p.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("%s: pinned machine %q: %w", files[0], name, err)
+		}
+	}
+	req, err := spec.Resolve(func(name string) (profile.Profile, error) {
+		p, ok := machines[name]
+		if !ok {
+			return profile.Profile{}, fmt.Errorf("artifact pins no machine %q", name)
+		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", files[0], err)
+	}
+	return arts, req, nil
+}
+
 // runMerge implements the merge subcommand: validate that the given
 // artifacts form one complete partition of one run, preload their cells
 // into an in-memory store, and replay the recorded subcommands against
@@ -180,64 +277,19 @@ func emitShardArtifact(w io.Writer, art shardArtifact) error {
 // an artifact were somehow missing a cell, the replay would recompute
 // it, yielding the same bytes (cells are pure functions of their keys).
 func runMerge(files []string, par, itpar int, jsonOut bool, cacheDir string) error {
-	if len(files) == 0 {
-		return fmt.Errorf("usage: uvmbench merge <shard.json> ...")
-	}
-	arts := make([]shardArtifact, len(files))
-	var specJSON []byte
+	blobs := make([][]byte, len(files))
 	for i, path := range files {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(b, &arts[i]); err != nil {
-			return fmt.Errorf("%s: not a shard artifact: %w", path, err)
-		}
-		if arts[i].Schema != store.SchemaVersion {
-			return fmt.Errorf("%s: artifact schema v%d, this build reads v%d",
-				path, arts[i].Schema, store.SchemaVersion)
-		}
-		sj, err := json.Marshal(arts[i].Spec)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			specJSON = sj
-		} else if !bytes.Equal(sj, specJSON) {
-			return fmt.Errorf("%s: produced by a different run spec than %s", path, files[0])
-		}
+		blobs[i] = b
 	}
-	n := arts[0].ShardCount
-	byIndex := make([]string, n+1)
-	for i, art := range arts {
-		if art.ShardCount != n {
-			return fmt.Errorf("%s: shard count %d, expected %d", files[i], art.ShardCount, n)
-		}
-		if art.ShardIndex < 1 || art.ShardIndex > n {
-			return fmt.Errorf("%s: shard index %d out of 1..%d", files[i], art.ShardIndex, n)
-		}
-		if byIndex[art.ShardIndex] != "" {
-			return fmt.Errorf("%s and %s are both shard %d/%d",
-				byIndex[art.ShardIndex], files[i], art.ShardIndex, n)
-		}
-		byIndex[art.ShardIndex] = files[i]
-	}
-	for i := 1; i <= n; i++ {
-		if byIndex[i] == "" {
-			return fmt.Errorf("incomplete partition: shard %d/%d missing", i, n)
-		}
+	arts, req, err := decodeShards(files, blobs)
+	if err != nil {
+		return err
 	}
 	printShardBalance(os.Stderr, files, arts)
-
-	spec := arts[0].Spec
-	if err := spec.Profile.Validate(); err != nil {
-		return fmt.Errorf("%s: embedded profile: %w", files[0], err)
-	}
-	for _, p := range spec.Profiles {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("%s: embedded profile: %w", files[0], err)
-		}
-	}
 
 	mem := store.NewMem()
 	for _, art := range arts {
@@ -248,19 +300,11 @@ func runMerge(files []string, par, itpar int, jsonOut bool, cacheDir string) err
 		}
 	}
 
-	r := core.NewRunnerFor(spec.Profile)
-	r.Iterations = spec.Iters
-	r.BaseSeed = spec.Seed
+	r := core.NewRunnerFor(req.Profile)
 	r.Parallelism = par
+	req.Configure(r)
 	r.IterParallelism = itpar
 	r.Store = mem
-	if len(spec.Setups) > 0 {
-		setups, err := cuda.ParseSetupList(strings.Join(spec.Setups, ","))
-		if err != nil {
-			return fmt.Errorf("%s: embedded setups: %w", files[0], err)
-		}
-		r.Setups = setups
-	}
 	if cacheDir != "" {
 		// Also persist the merged cells, so the union of shard runs
 		// leaves behind the same warm store a single-shot -cache-dir run
@@ -277,20 +321,9 @@ func runMerge(files []string, par, itpar int, jsonOut bool, cacheDir string) err
 		r.Store = store.NewTiered(mem, dir)
 	}
 
-	o := &options{
-		out:      os.Stdout,
-		json:     jsonOut,
-		sizeName: spec.Size,
-		jobs:     spec.Jobs,
-		workload: spec.Workload,
-		gpus:     spec.Gpus,
-		topology: spec.Topology,
-		policy:   spec.Policy,
-		fixed:    spec.Profiles,
-	}
-	o.sizeOr = sizeOrFunc(spec.Size)
-	for _, cmd := range spec.Commands {
-		if err := dispatch(r, cmd, o); err != nil {
+	o := &options{out: os.Stdout, json: jsonOut}
+	for _, cmd := range arts[0].Spec.Figures {
+		if err := dispatch(r, cmd, req, o); err != nil {
 			return err
 		}
 	}

@@ -3,12 +3,18 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"uvmasim/internal/serve"
 )
 
 // TestShardMergeByteIdentity is the tentpole's property test: for every
@@ -144,6 +150,9 @@ func TestMergeValidation(t *testing.T) {
 		"duplicate shard":      {"merge", s1, s1},
 		"mismatched specs":     {"merge", s1, other},
 		"garbage artifact":     {"merge", s1, garbage},
+		// A complete 1/1 partition written by the build before the spec
+		// became serve.Spec: its layout no longer decodes.
+		"previous format": {"merge", filepath.Join("testdata", "shard_prev_format.json")},
 	}
 	for name, args := range cases {
 		if err := run(args); err == nil {
@@ -153,6 +162,13 @@ func TestMergeValidation(t *testing.T) {
 	// Sanity: the intact pair does merge.
 	if err := run([]string{"merge", s1, s2}); err != nil {
 		t.Errorf("valid merge failed: %v", err)
+	}
+	// Artifacts embed the resolved spec, so flags that resolve to the
+	// same run (an explicit default value, the default machine by name)
+	// merge with the default invocation's shards.
+	same := write("same.json", capture(t, "-i", "1", "-jobs", "8", "-profile", "a100-40g-pcie4", "-shard", "2/2", "fig12"))
+	if err := run([]string{"merge", s1, same}); err != nil {
+		t.Errorf("shards of equivalent specs refuse to merge: %v", err)
 	}
 }
 
@@ -191,9 +207,9 @@ func TestCacheDirWarmRerun(t *testing.T) {
 	}
 }
 
-// TestUpfrontValidation: every path-like flag and the subcommand list
-// are validated before any simulation, so typos fail fast even when the
-// requested run would take minutes.
+// TestUpfrontValidation: every path-like flag, the subcommand list and
+// every name in the run spec are validated before any simulation, so
+// typos fail fast even when the requested run would take minutes.
 func TestUpfrontValidation(t *testing.T) {
 	// A huge iteration count makes these hang for minutes if validation
 	// happens after the run; the deadline catches regressions.
@@ -214,5 +230,48 @@ func TestUpfrontValidation(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: validation did not fail fast", name)
 		}
+	}
+
+	// The CLI and the server resolve one spec type through one path: an
+	// invocation fails before printing anything exactly when the same
+	// spec POSTed to the server gets a 400.
+	h := serve.New(serve.Config{Log: log.New(io.Discard, "", 0)}).Handler()
+	post := func(body string) int {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/experiments", strings.NewReader(body)))
+		return w.Code
+	}
+	bad := []struct {
+		name string
+		args []string
+		body string
+	}{
+		{"negative jobs", []string{"-i", "2", "-jobs", "-1", "fig7,fig14"}, `{"figures":["fig7","fig14"],"iters":2,"jobs":-1}`},
+		{"bad workload", []string{"-workload", "nope", "fig7,compare-profiles"}, `{"figures":["fig7","compare-profiles"],"workload":"nope"}`},
+		{"bad profiles", []string{"-profiles", "nope", "fig7,compare-profiles"}, `{"figures":["fig7","compare-profiles"],"profiles":["nope"]}`},
+		{"bad size", []string{"-size", "giga", "fig7"}, `{"figure":"fig7","size":"giga"}`},
+		{"negative iters", []string{"-i", "-1", "table3"}, `{"figure":"table3","iters":-1}`},
+	}
+	for _, c := range bad {
+		out, err := runCaptured(append([]string{"-json"}, c.args...)...)
+		if err == nil {
+			t.Errorf("%s: CLI run succeeded, want an error", c.name)
+		}
+		if out != "" {
+			t.Errorf("%s: CLI printed %d bytes before failing", c.name, len(out))
+		}
+		if code := post(c.body); code != http.StatusBadRequest {
+			t.Errorf("%s: POST status %d, want 400", c.name, code)
+		}
+	}
+
+	// Zero means the default on both surfaces: -jobs 0 is fig14's
+	// default batch of 8, not an error.
+	if zero, eight := capture(t, "-i", "1", "-json", "-jobs", "0", "fig14"),
+		capture(t, "-i", "1", "-json", "-jobs", "8", "fig14"); zero != eight {
+		t.Error("-jobs 0 output differs from -jobs 8")
+	}
+	if code := post(`{"figure":"fig14","iters":1,"jobs":0}`); code != http.StatusOK {
+		t.Errorf(`"jobs": 0 POST status %d, want 200`, code)
 	}
 }

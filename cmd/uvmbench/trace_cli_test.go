@@ -112,9 +112,10 @@ func TestJSONFlag(t *testing.T) {
 }
 
 // TestJSONFlagAcrossSubcommands smoke-checks that every -json-capable
-// subcommand prints exactly one valid JSON document.
+// subcommand prints exactly one valid JSON document — at one iteration
+// too, where fig4-fig6's spreads are undefined and encode as null.
 func TestJSONFlagAcrossSubcommands(t *testing.T) {
-	for _, sub := range []string{"table3", "fig9", "fig12", "fig14"} {
+	for _, sub := range []string{"table3", "fig4", "fig5", "fig6", "fig9", "fig12", "fig14"} {
 		sub := sub
 		t.Run(sub, func(t *testing.T) {
 			out := capture(t, "-i", "1", "-json", sub)

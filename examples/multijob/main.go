@@ -27,20 +27,22 @@ import (
 )
 
 func main() {
-	jobs := flag.Int("jobs", 8, "jobs in the batch")
-	name := flag.String("workload", "vector_seq", "workload per job")
-	gpus := flag.String("gpus", serve.DefaultGPUs, "comma-separated GPU counts for the schedule grid")
-	topology := flag.String("topology", serve.DefaultTopology, "comma-separated topologies (pcie-switch, nvlink)")
-	policy := flag.String("policy", serve.DefaultPolicy, "placement policy (first-fit, least-loaded, bandwidth-aware)")
-	profName := flag.String("profile", profile.DefaultName, "hardware profile (built-in name or JSON file)")
+	// The flags parse into the run spec the uvmbench CLI and server use,
+	// so they share its defaults and validation.
+	spec := serve.Spec{Workload: "vector_seq"}
+	flag.IntVar(&spec.Jobs, "jobs", serve.Defaults.Jobs, "jobs in the batch")
+	flag.StringVar(&spec.Workload, "workload", spec.Workload, "workload per job")
+	flag.Func("gpus", fmt.Sprintf("comma-separated GPU counts for the schedule grid (empty = %v)", serve.Defaults.GPUs), serve.CountsFlag(&spec.GPUs))
+	flag.Func("topology", fmt.Sprintf("comma-separated topologies, pcie-switch and/or nvlink (empty = %v)", serve.Defaults.Topology), serve.ListFlag(&spec.Topology))
+	flag.StringVar(&spec.Policy, "policy", serve.Defaults.Policy, "placement policy: first-fit, least-loaded or bandwidth-aware")
+	flag.StringVar(&spec.Profile, "profile", profile.DefaultName, "hardware profile (built-in name or JSON file)")
 	flag.Parse()
-	p, err := profile.Resolve(*profName)
+	req, err := spec.Resolve(profile.Resolve)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gpuCounts, topos, pol, err := serve.ResolveMultiGPU(serve.FigureOptions{
-		GPUs: *gpus, Topology: *topology, Policy: *policy,
-	})
+	p, jobs, name := req.Profile, req.Opt.Jobs, req.Opt.Workload
+	gpuCounts, topos, pol, err := req.Opt.MultiGPU()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +50,11 @@ func main() {
 	r := core.NewRunnerFor(p)
 	r.Iterations = 5
 
-	fmt.Printf("inter-job pipeline model: %d x %s (Super input) on %s\n\n", *jobs, *name, p.Name)
+	fmt.Printf("inter-job pipeline model: %d x %s (Super input) on %s\n\n", jobs, name, p.Name)
 	fmt.Printf("%-20s %12s %12s %12s %12s\n",
 		"setup", "serial ms", "pipelined ms", "improvement", "alloc share")
 	for _, setup := range cuda.PaperSetups() {
-		res, err := r.MultiJob(*name, setup, workloads.Super, *jobs)
+		res, err := r.MultiJob(name, setup, workloads.Super, jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,8 +73,8 @@ func main() {
 	// measured makespans reproduce the projection exactly (the
 	// scheduler's differential oracle), and on shared fabrics the
 	// transfer stretch shows how much of the gain survives multi-tenancy.
-	study, err := r.MultiGPU(*name, cuda.UVMPrefetchAsync, workloads.Super,
-		*jobs, gpuCounts, topos, pol)
+	study, err := r.MultiGPU(name, cuda.UVMPrefetchAsync, workloads.Super,
+		jobs, gpuCounts, topos, pol)
 	if err != nil {
 		log.Fatal(err)
 	}

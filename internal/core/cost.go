@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/store"
@@ -21,18 +20,15 @@ import (
 // time-first dispatch order: cells are claimed most-expensive-first, so
 // the stragglers start immediately and the cheap cells pack the tail.
 //
-// Costs come from two tiers. A static model (staticCellSeconds)
-// estimates a cell's wall time from what dominates the simulation —
-// per-chunk fault/migration work for managed setups, per-byte copy work
-// for explicit ones, eviction churn above capacity for oversubscribed
+// Costs come from a static model (staticCellSeconds) that estimates a
+// cell's wall time from what dominates the simulation — per-chunk
+// fault/migration work for managed setups, per-byte copy work for
+// explicit ones, eviction churn above capacity for oversubscribed
 // footprints. It is a pure function of the cell identity, which is what
 // lets shard artifacts embed deterministic per-shard cost estimates.
-// The second tier refines scheduling within a process: every simulated
-// cell's measured wall time is recorded in a costModel shared by the
-// Runner family, and a later study scheduling the same cell shape uses
-// the observation instead of the estimate. Ordering affects only the
-// makespan — results land in index slots and the singleflight cache
-// counts per-key — so both tiers are free to be approximate.
+// Ordering affects only the makespan — results land in index slots and
+// the singleflight cache counts per-key — so the model is free to be
+// approximate.
 
 // Static cost-model constants, calibrated against measured vector_seq
 // iteration times on the development machine (managed Mega ~660µs/iter
@@ -182,62 +178,9 @@ func EstimateCellSeconds(cfg cuda.SystemConfig, doc store.CellDoc) (float64, err
 	return staticCellSeconds(cfg, doc.Key.Kind, setup, size, doc.Key.Iters), unknown
 }
 
-// costKey identifies one cell shape in the observed-cost map. Iteration
-// count is part of the shape: the counter studies run the same cells at
-// one iteration, thirty times cheaper.
-type costKey struct {
-	kind  string
-	setup cuda.Setup
-	size  workloads.Size
-	iters int
-}
-
-// costModel records measured per-cell wall seconds. It is shared by
-// pointer across a Runner family, like the executor and the cell cache,
-// so observations made by one study steer the scheduling of the next.
-type costModel struct {
-	mu       sync.RWMutex
-	observed map[costKey]float64
-}
-
-func newCostModel() *costModel {
-	return &costModel{observed: make(map[costKey]float64)}
-}
-
-// observe records a measured cell time, smoothing repeat observations
-// (EWMA, half weight on the newest) so one descheduled outlier does not
-// dominate.
-func (m *costModel) observe(kind string, setup cuda.Setup, size workloads.Size, iters int, secs float64) {
-	if m == nil || secs <= 0 {
-		return
-	}
-	k := costKey{kind, setup, size, iters}
-	m.mu.Lock()
-	if old, ok := m.observed[k]; ok {
-		secs = 0.5*old + 0.5*secs
-	}
-	m.observed[k] = secs
-	m.mu.Unlock()
-}
-
-// lookup returns the recorded observation for a cell shape.
-func (m *costModel) lookup(kind string, setup cuda.Setup, size workloads.Size, iters int) (float64, bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.mu.RLock()
-	s, ok := m.observed[costKey{kind, setup, size, iters}]
-	m.mu.RUnlock()
-	return s, ok
-}
-
-// cellCost returns the scheduling cost of one cell at the runner's
-// iteration count: a recorded observation when one exists, the static
-// estimate otherwise.
+// cellCost returns the static scheduling cost of one cell at the
+// runner's iteration count.
 func (r *Runner) cellCost(kind string, setup cuda.Setup, size workloads.Size) float64 {
-	if s, ok := r.costs.lookup(kind, setup, size, r.iters()); ok {
-		return s
-	}
 	return staticCellSeconds(r.Config, kind, setup, size, r.iters())
 }
 

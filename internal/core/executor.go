@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -158,7 +160,7 @@ func (r *Runner) forEachOrdered(n int, order []int, fn func(i int) error) error 
 			if order != nil {
 				i = order[j]
 			}
-			errs[i] = fn(i)
+			errs[i] = recovered(fn, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -184,6 +186,22 @@ func (r *Runner) forEachOrdered(n int, order []int, fn func(i int) error) error 
 	return nil
 }
 
+// errPanic marks an error recovered from a panic.
+var errPanic = errors.New("panicked")
+
+// recovered calls fn(i) on a fan-out worker, turning a panic into an
+// error: a worker goroutine has no caller to unwind to, so an unrecovered
+// panic there would kill the process. The enclosing cell, if any, names
+// itself in the error (computeCell).
+func recovered(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPanic, p)
+		}
+	}()
+	return fn(i)
+}
+
 // cellKey identifies one unique measurement cell across figures. Two
 // cells with equal keys produce bit-identical Results (the simulation is
 // a pure function of the key), which is what makes the cache safe for
@@ -202,12 +220,11 @@ type cellKey struct {
 }
 
 // cellEntry is a singleflight slot: the first goroutine to claim the key
-// computes, every later one (even concurrent ones) waits and shares the
-// stored result.
+// computes, every concurrent one waits on wg and shares the result.
 type cellEntry struct {
-	once sync.Once
-	res  Result
-	err  error
+	wg  sync.WaitGroup // done once res and err are set
+	res Result
+	err error
 }
 
 // cellCache memoizes measurement cells across studies and figures. It is
@@ -251,24 +268,51 @@ func newCellCache() *cellCache {
 	return &cellCache{m: make(map[cellKey]*cellEntry)}
 }
 
-// do returns the cached result for key, computing it at most once.
+// do returns the cached result for key, computing it at most once per
+// success. A failed computation — an error or a panic, which is
+// recovered here and reported as an error naming the cell — is shared
+// with the callers already waiting on it and then dropped, so a later
+// call recomputes instead of reading a zero Result.
 func (c *cellCache) do(key cellKey, compute func() (Result, error)) (Result, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
 		e = &cellEntry{}
+		e.wg.Add(1)
 		c.m[key] = e
 	}
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 		c.inst.memHits.Inc()
-	} else {
-		c.misses.Add(1)
-		c.inst.memMisses.Inc()
+		e.wg.Wait()
+		return e.res, e.err
 	}
-	e.once.Do(func() { e.res, e.err = compute() })
+	c.misses.Add(1)
+	c.inst.memMisses.Inc()
+	e.res, e.err = computeCell(key, compute)
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.m, key)
+		c.mu.Unlock()
+	}
+	e.wg.Done()
 	return e.res, e.err
+}
+
+// computeCell runs one cell computation, turning a panic — its own or
+// one a fan-out worker recovered — into an error that names the cell.
+func computeCell(key cellKey, compute func() (Result, error)) (res Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPanic, p)
+		}
+		if errors.Is(err, errPanic) {
+			res, err = Result{}, fmt.Errorf("core: cell %s/%s/%s (iters %d, seed %d, profile %s): %w",
+				key.kind, key.setup, key.size, key.iters, key.seed, key.fp, err)
+		}
+	}()
+	return compute()
 }
 
 // cached routes a cell computation through the cell cache (when enabled).
@@ -310,7 +354,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 	}
 	if r.Store == nil && r.Capture == nil {
 		return r.cache.do(key, func() (Result, error) {
-			return r.timedCompute(kind, setup, size, compute)
+			return r.timedCompute(compute)
 		})
 	}
 	skey := storeKeyOf(key)
@@ -324,7 +368,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 			r.cache.storeMisses.Add(1)
 			r.cache.inst.storeMisses.Inc()
 		}
-		res, err := r.timedCompute(kind, setup, size, compute)
+		res, err := r.timedCompute(compute)
 		if err == nil && r.Store != nil {
 			// Best-effort write-back: a failed Put costs a future
 			// recompute, never a wrong result.

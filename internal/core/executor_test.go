@@ -2,8 +2,14 @@ package core
 
 import (
 	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"uvmasim/internal/cuda"
+	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -122,5 +128,108 @@ func TestForEachSaturatedDeterminism(t *testing.T) {
 	}
 	if got := render(drained); got != want {
 		t.Errorf("drained-pool output diverges from serial\nserial:\n%s\ndrained:\n%s", want, got)
+	}
+}
+
+// TestCellCacheDropsFailedCells: a cell whose computation panics or
+// errors is reported as an error naming the cell, is never written to
+// the store, and is recomputed by the next caller instead of being
+// served as a cached zero Result.
+func TestCellCacheDropsFailedCells(t *testing.T) {
+	mem := store.NewMem()
+	r := storeRunner(mem)
+	calls := 0
+	good := func() (Result, error) {
+		calls++
+		return Result{Workload: "flaky", Breakdowns: make([]cuda.Breakdown, 2)}, nil
+	}
+	failures := map[string]func() (Result, error){
+		"panic": func() (Result, error) { panic("simulated fault") },
+		"error": func() (Result, error) { return Result{}, errors.New("simulated error") },
+	}
+	for name, fail := range failures {
+		t.Run(name, func(t *testing.T) {
+			kind := "flaky-" + name
+			_, err := r.cached(kind, cuda.UVM, workloads.Small, fail)
+			if err == nil {
+				t.Fatal("failed cell returned no error")
+			}
+			if name == "panic" && !strings.Contains(err.Error(), kind) {
+				t.Errorf("panic error %q does not name the cell", err)
+			}
+			if n := len(mem.Docs()); n != 0 {
+				t.Fatalf("failed cell written to the store (%d docs)", n)
+			}
+			calls = 0
+			res, err := r.cached(kind, cuda.UVM, workloads.Small, good)
+			if err != nil || calls != 1 || res.Workload != "flaky" {
+				t.Errorf("retry after failure: calls %d, workload %q, err %v; want a recompute", calls, res.Workload, err)
+			}
+			if _, err := r.cached(kind, cuda.UVM, workloads.Small, good); err != nil || calls != 1 {
+				t.Errorf("successful cell not cached: calls %d, err %v", calls, err)
+			}
+			mem = store.NewMem()
+			r.Store = mem
+		})
+	}
+
+	// Concurrent callers of a failing cell each get an error — either
+	// their own or the shared one they waited on — never a zero Result.
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = r.cached("flaky-concurrent", cuda.UVM, workloads.Small, failures["panic"])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("concurrent caller %d got no error from a panicking cell", i)
+		}
+	}
+}
+
+// panicWorkload panics in every iteration. The first two calls wait for
+// each other (bounded by a timeout), so they run on two goroutines and
+// at least one of them is a fan-out worker.
+type panicWorkload struct {
+	calls  atomic.Int32
+	paired chan struct{}
+}
+
+func (w *panicWorkload) Name() string    { return "panicky" }
+func (w *panicWorkload) Domain() string  { return "test" }
+func (w *panicWorkload) Validate() error { return nil }
+
+func (w *panicWorkload) Run(*cuda.Context, workloads.Size) error {
+	if w.calls.Add(1) == 2 {
+		close(w.paired)
+	}
+	select {
+	case <-w.paired:
+	case <-time.After(5 * time.Second):
+	}
+	panic("simulated workload fault")
+}
+
+// TestFanoutWorkerPanicIsCellError: a workload that panics inside an
+// iteration block run by a fan-out worker goroutine (-itpar > 1) fails
+// its cell with an error naming the cell instead of crashing the
+// process.
+func TestFanoutWorkerPanicIsCellError(t *testing.T) {
+	r := testRunner(4)
+	r.Parallelism, r.IterParallelism = 4, 4
+	r.Setups = []cuda.Setup{cuda.UVM}
+	w := &panicWorkload{paired: make(chan struct{})}
+	_, err := r.Distributions([]workloads.Workload{w}, []workloads.Size{workloads.Small})
+	if err == nil || !strings.Contains(err.Error(), "core: cell panicky/") ||
+		!strings.Contains(err.Error(), "simulated workload fault") {
+		t.Fatalf("panicking fan-out iteration: err %v, want an error naming the cell", err)
+	}
+	if n := w.calls.Load(); n < 2 {
+		t.Errorf("workload ran %d iterations, want the fan-out to reach at least 2", n)
 	}
 }

@@ -150,30 +150,3 @@ func TestStaticCostModelRanks(t *testing.T) {
 		t.Error("malformed oversub kind accepted")
 	}
 }
-
-// TestObservedCostRefinesStatic: a measured cell reshapes the next
-// study's schedule through the shared cost model.
-func TestObservedCostRefinesStatic(t *testing.T) {
-	r := testRunner(2)
-	r.Parallelism = 2
-	w := mustWorkloads(t, "vector_seq")[0]
-	if _, err := r.Measure(w, cuda.UVM, workloads.Small); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2); !ok {
-		t.Error("measured cell not recorded in the cost model")
-	}
-	if _, ok := r.costs.lookup("vector_seq", cuda.UVM, workloads.Large, 2); ok {
-		t.Error("unmeasured cell unexpectedly present in the cost model")
-	}
-	// Cache hits replay without simulating; the recorded cost must not
-	// be polluted by near-zero cache-hit timings.
-	before, _ := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2)
-	if _, err := r.Measure(w, cuda.UVM, workloads.Small); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2)
-	if before != after {
-		t.Errorf("cache-hit replay changed the observed cost: %g -> %g", before, after)
-	}
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"uvmasim/internal/cuda"
@@ -10,6 +11,15 @@ import (
 
 // ms formats nanoseconds as milliseconds.
 func ms(ns float64) string { return fmt.Sprintf("%9.2f", ns/1e6) }
+
+// orNA formats x with format, or right-aligns "n/a" in width columns
+// when x is undefined (NaN: a spread over fewer than two runs).
+func orNA(format string, width int, x float64) string {
+	if math.IsNaN(x) {
+		return fmt.Sprintf("%*s", width, "n/a")
+	}
+	return fmt.Sprintf(format, x)
+}
 
 // RenderTable3 prints the input-size parameter table.
 func RenderTable3() string {
@@ -38,7 +48,7 @@ func (d *DistributionStudy) RenderFig4() string {
 			for _, setup := range d.Setups {
 				for _, c := range d.Cells {
 					if c.Workload == w && c.Size == size && c.Setup == setup {
-						fmt.Fprintf(&b, " %12.1f ±%7.1f", c.Summary.Mean/1e6, c.Summary.CI95/1e6)
+						fmt.Fprintf(&b, " %12.1f ±%s", c.Summary.Mean/1e6, orNA("%7.1f", 7, c.Summary.CI95/1e6))
 					}
 				}
 			}
@@ -61,13 +71,13 @@ func (d *DistributionStudy) RenderFig5() string {
 	for _, w := range d.Workloads {
 		fmt.Fprintf(&b, "%-12s", w)
 		for _, size := range d.Sizes {
-			fmt.Fprintf(&b, " %8.4f", d.CV(w, size))
+			fmt.Fprintf(&b, " %s", orNA("%8.4f", 8, d.CV(w, size)))
 		}
 		fmt.Fprintln(&b)
 	}
 	fmt.Fprintf(&b, "%-12s", "geo-mean")
 	for _, size := range d.Sizes {
-		fmt.Fprintf(&b, " %8.4f", d.GeoMeanCV(size))
+		fmt.Fprintf(&b, " %s", orNA("%8.4f", 8, d.GeoMeanCV(size)))
 	}
 	fmt.Fprintln(&b)
 	return b.String()
@@ -81,7 +91,7 @@ func (f *Fig6) Render() string {
 	for i, run := range f.Runs {
 		fmt.Fprintf(&b, "%-5d %s %s %s %s\n", i, ms(run.Kernel), ms(run.Alloc), ms(run.Memcpy), ms(run.Total))
 	}
-	fmt.Fprintf(&b, "memcpy cv=%.3f kernel cv=%.3f\n", f.MemcpyCV(), f.KernelCV())
+	fmt.Fprintf(&b, "memcpy cv=%s kernel cv=%s\n", orNA("%.3f", 0, f.MemcpyCV()), orNA("%.3f", 0, f.KernelCV()))
 	return b.String()
 }
 

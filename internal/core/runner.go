@@ -101,7 +101,6 @@ type Runner struct {
 	exec  *executor
 	cache *cellCache
 	pool  *contextPool
-	costs *costModel
 }
 
 // NewRunner returns a Runner with the paper's defaults: the default
@@ -123,7 +122,6 @@ func NewRunnerFor(p profile.Profile) *Runner {
 		exec:       &executor{},
 		cache:      newCellCache(),
 		pool:       &contextPool{},
-		costs:      newCostModel(),
 	}
 }
 

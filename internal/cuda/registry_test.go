@@ -70,19 +70,19 @@ func TestParseSetupHints(t *testing.T) {
 		!strings.Contains(err.Error(), "uvm_zerocopy") {
 		t.Errorf("ParseSetup hint missing: %v", err)
 	}
-	if _, err := ParseSetupList("standard,uvm_smcpy"); err == nil ||
+	if _, err := ParseSetupList([]string{"standard", "uvm_smcpy"}); err == nil ||
 		!strings.Contains(err.Error(), "uvm_smcopy") {
 		t.Errorf("ParseSetupList hint missing: %v", err)
 	}
-	if _, err := ParseSetupList("uvm,uvm"); err == nil ||
+	if _, err := ParseSetupList([]string{"uvm", "uvm"}); err == nil ||
 		!strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate setups should be rejected: %v", err)
 	}
-	if _, err := ParseSetupList(" , ,"); err == nil ||
+	if _, err := ParseSetupList([]string{" ", "", ""}); err == nil ||
 		!strings.Contains(err.Error(), "names no setups") {
 		t.Errorf("empty list should be rejected: %v", err)
 	}
-	got, err := ParseSetupList(" standard , uvm_zerocopy ")
+	got, err := ParseSetupList([]string{" standard ", " uvm_zerocopy "})
 	if err != nil || len(got) != 2 || got[0] != Standard || got[1] != UVMZeroCopy {
 		t.Errorf("ParseSetupList = %v, %v", got, err)
 	}

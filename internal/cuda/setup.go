@@ -240,13 +240,14 @@ func ParseSetup(name string) (Setup, error) {
 	return 0, fmt.Errorf("cuda: unknown setup %q%s", name, nearest.Hint(name, SetupNames(), 3))
 }
 
-// ParseSetupList resolves a comma-separated list of registered setup
-// names (the -setups flag and the serve spec's "setups" field), in
-// order, rejecting unknown names, empty lists and duplicates upfront.
-func ParseSetupList(list string) ([]Setup, error) {
+// ParseSetupList resolves a list of registered setup names (the run
+// spec's "setups", also the -setups flag), in order, ignoring blank
+// entries and rejecting unknown names, empty lists and duplicates
+// upfront.
+func ParseSetupList(list []string) ([]Setup, error) {
 	var out []Setup
 	seen := make(map[Setup]bool)
-	for _, name := range strings.Split(list, ",") {
+	for _, name := range list {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue

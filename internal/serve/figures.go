@@ -12,7 +12,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"uvmasim/internal/core"
@@ -23,35 +22,70 @@ import (
 	"uvmasim/internal/workloads"
 )
 
-// FigureOptions carries the per-invocation knobs a figure consumes,
-// mirroring the CLI flags. Values are passed through literally (the CLI
-// flag defaults — jobs 8, workload gemm — are applied by the flag
-// parser or by Spec normalization, not here), so CLI and server agree
-// byte-for-byte on what any given option set produces.
+// FigureOptions carries the knobs a figure consumes. Zero fields mean
+// the values in Defaults (Size: each figure's own default class), so a
+// literal FigureOptions{} renders what a zero Spec does. Size and
+// Policy stay names because the zero values of their types are real
+// choices (tiny, first-fit).
 type FigureOptions struct {
-	Size        string            // -size override ("" = the figure's default class)
-	Jobs        int               // fig14/multigpu pipeline batch size
-	Workload    string            // compare-profiles workload
-	ProfilesCSV string            // -profiles list for compare-profiles ("" = all built-ins)
-	Profiles    []profile.Profile // pre-resolved compare-profiles set (overrides ProfilesCSV)
-	GPUs        string            // multigpu -gpus device-count list ("" = "1,2,4")
-	Topology    string            // multigpu -topology list ("" = "pcie-switch,nvlink")
-	Policy      string            // multigpu -policy placement ("" = "least-loaded")
+	Size     string            // size-class override ("" = the figure's default class)
+	Jobs     int               // fig14/multigpu pipeline batch size
+	Workload string            // compare-profiles and trace workload
+	Profiles []profile.Profile // compare-profiles machines
+	GPUs     []int             // multigpu device counts
+	Topology []topo.Kind       // multigpu interconnects
+	Policy   string            // multigpu placement policy
 }
 
-// Multi-GPU defaults, applied by Figure when the corresponding option is
-// empty so CLI, server and merge agree byte-for-byte.
-const (
-	DefaultGPUs     = "1,2,4"
-	DefaultTopology = "pcie-switch,nvlink"
-	DefaultPolicy   = "least-loaded"
-)
+// Defaults is what every zero FigureOptions field means, on every
+// surface: CLI flags, POST bodies and shard artifacts all resolve
+// through it.
+var Defaults = FigureOptions{
+	Jobs:     8,
+	Workload: "gemm",
+	Profiles: profile.Builtins(),
+	GPUs:     []int{1, 2, 4},
+	Topology: []topo.Kind{topo.PCIeSwitch, topo.NVLink},
+	Policy:   sched.LeastLoaded.String(),
+}
 
-func (o FigureOptions) sizeOr(def workloads.Size) (workloads.Size, error) {
+// withDefaults fills every zero field from Defaults.
+func (o FigureOptions) withDefaults() FigureOptions {
+	if o.Jobs == 0 {
+		o.Jobs = Defaults.Jobs
+	}
+	if o.Workload == "" {
+		o.Workload = Defaults.Workload
+	}
+	if len(o.Profiles) == 0 {
+		o.Profiles = Defaults.Profiles
+	}
+	if len(o.GPUs) == 0 {
+		o.GPUs = Defaults.GPUs
+	}
+	if len(o.Topology) == 0 {
+		o.Topology = Defaults.Topology
+	}
+	if o.Policy == "" {
+		o.Policy = Defaults.Policy
+	}
+	return o
+}
+
+// SizeOr resolves the size override, keeping def when there is none.
+func (o FigureOptions) SizeOr(def workloads.Size) (workloads.Size, error) {
 	if o.Size == "" {
 		return def, nil
 	}
 	return workloads.ParseSize(o.Size)
+}
+
+// MultiGPU returns the multigpu grid: device counts, interconnects and
+// placement policy, defaults applied.
+func (o FigureOptions) MultiGPU() ([]int, []topo.Kind, sched.Policy, error) {
+	o = o.withDefaults()
+	policy, err := sched.ParsePolicy(o.Policy)
+	return o.GPUs, o.Topology, policy, err
 }
 
 // FigureNames lists every subcommand Figure handles — the artifact
@@ -87,6 +121,7 @@ func IsFigure(cmd string) bool {
 // it away. The thunk is pure over the computed study, so calling it
 // never simulates.
 func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.FigureDoc, error) {
+	opt = opt.withDefaults()
 	switch cmd {
 	case "table3":
 		return core.RenderTable3, core.Table3Doc(), nil
@@ -145,7 +180,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return text, core.Fig7Doc(studies), nil
 
 	case "fig8":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -156,7 +191,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return study.Render("Figure 8") }, study.Doc("fig8"), nil
 
 	case "fig9", "fig10":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -170,7 +205,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return study.RenderFig10, study.Doc("fig10"), nil
 
 	case "fig11":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -181,7 +216,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 11") }, sw.Doc("fig11"), nil
 
 	case "fig12":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -192,7 +227,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 12") }, sw.Doc("fig12"), nil
 
 	case "fig13":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -203,7 +238,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 13") }, sw.Doc("fig13"), nil
 
 	case "fig14":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -214,7 +249,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return res.Render, res.Doc(), nil
 
 	case "micro":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -225,7 +260,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return study.Render("Microbenchmarks (§4.1.1)") }, study.Doc("micro"), nil
 
 	case "apps":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -249,11 +284,11 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		// Tentpole experiment: the Figure 14 pipeline headroom under real
 		// multi-tenant contention. Same workload/setup as fig14, scheduled
 		// over a (topology x GPU count) grid.
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
-		gpus, topos, policy, err := ResolveMultiGPU(opt)
+		gpus, topos, policy, err := opt.MultiGPU()
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -264,66 +299,17 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return study.Render, study.Doc(), nil
 
 	case "compare-profiles":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
-		ps := opt.Profiles
-		if ps == nil {
-			ps, err = ResolveProfiles(opt.ProfilesCSV)
-			if err != nil {
-				return nil, core.FigureDoc{}, err
-			}
-		}
-		study, err := r.CompareProfiles(ps, opt.Workload, size)
+		study, err := r.CompareProfiles(opt.Profiles, opt.Workload, size)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
 		return study.Render, study.Doc(), nil
 	}
 	return nil, core.FigureDoc{}, fmt.Errorf("unknown figure %q", cmd)
-}
-
-// ResolveMultiGPU normalizes the multigpu grid options: empty values
-// take the package defaults, lists parse with validation and nearest
-// hints. Shared by Figure and the CLI trace path.
-func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error) {
-	gpusCSV := opt.GPUs
-	if gpusCSV == "" {
-		gpusCSV = DefaultGPUs
-	}
-	var gpus []int
-	for _, part := range strings.Split(gpusCSV, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, nil, 0, fmt.Errorf("-gpus entry %q is not a positive device count", part)
-		}
-		gpus = append(gpus, n)
-	}
-	if len(gpus) == 0 {
-		return nil, nil, 0, fmt.Errorf("-gpus names no device counts")
-	}
-	topoCSV := opt.Topology
-	if topoCSV == "" {
-		topoCSV = DefaultTopology
-	}
-	topos, err := topo.ParseKindList(topoCSV)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	policyName := opt.Policy
-	if policyName == "" {
-		policyName = DefaultPolicy
-	}
-	policy, err := sched.ParsePolicy(policyName)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return gpus, topos, policy, nil
 }
 
 // FeasibleSizes filters the paper's size classes to those the active
@@ -337,29 +323,4 @@ func FeasibleSizes(cfg cuda.SystemConfig) []workloads.Size {
 		}
 	}
 	return out
-}
-
-// ResolveProfiles parses a -profiles list (built-in names or profile
-// JSON files) into validated profiles; an empty list means every
-// built-in machine.
-func ResolveProfiles(list string) ([]profile.Profile, error) {
-	if strings.TrimSpace(list) == "" {
-		return profile.Builtins(), nil
-	}
-	var ps []profile.Profile
-	for _, arg := range strings.Split(list, ",") {
-		arg = strings.TrimSpace(arg)
-		if arg == "" {
-			continue
-		}
-		p, err := profile.Resolve(arg)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-	}
-	if len(ps) == 0 {
-		return nil, fmt.Errorf("-profiles names no profiles")
-	}
-	return ps, nil
 }

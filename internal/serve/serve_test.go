@@ -192,8 +192,21 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestSpecDefaultsMirrorCLI pins the defaulting table to the CLI flag
-// defaults: iters 30, seed 1, jobs 8, workload gemm, default machine.
+// TestUndefinedSpreadIsNull: at one iteration a run-to-run spread is
+// undefined; the response still encodes, with null in its place.
+func TestUndefinedSpreadIsNull(t *testing.T) {
+	w := post(New(quietConfig()).Handler(), `{"figure":"fig6","iters":1}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), `"memcpy_cv": null`) {
+		t.Errorf("fig6 at one iteration should report a null memcpy_cv:\n%.300s", w.Body.String())
+	}
+}
+
+// TestSpecDefaultsMirrorCLI pins what a zero spec resolves to — the
+// same defaults the CLI's zero flags get, since flags parse into a
+// Spec: iters 30, seed 1, jobs 8, workload gemm, default machine.
 func TestSpecDefaultsMirrorCLI(t *testing.T) {
 	req, err := ParseSpec(strings.NewReader(`{"figure":"all"}`), profile.Default())
 	if err != nil {

@@ -288,18 +288,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	base := s.runnerFor(req.Profile)
-	// Value copy: per-request iterations, seed and iteration fan-out,
-	// shared executor, cell cache and context pool. The cell key
-	// includes iters, seed and the profile fingerprint, so mixed
+	// Value copy: per-request iterations, seed, setups and iteration
+	// fan-out, shared executor, cell cache and context pool. The cell
+	// key includes iters, seed and the profile fingerprint, so mixed
 	// request shapes cannot collide.
-	rr := *base
-	rr.Iterations = req.Iters
-	rr.BaseSeed = req.Seed
-	rr.Setups = req.Setups
-	if req.ItPar > 0 {
-		rr.IterParallelism = req.ItPar
-	}
+	rr := *s.runnerFor(req.Profile)
+	req.Configure(&rr)
 
 	// Encode into a pooled buffer: a json.Encoder with the CLI's indent
 	// writes the same bytes core.RenderJSON would (MarshalIndent plus a

@@ -16,44 +16,47 @@ import (
 	"uvmasim/internal/workloads"
 )
 
-// Spec is the POST /v1/experiments request body. Every field is
-// optional; the zero spec means "figure all on the default machine with
-// the CLI's defaults", and each default mirrors the corresponding CLI
-// flag exactly so a spec and a flag set that say the same thing produce
-// the same bytes.
+// Spec is one run of the study grid — figures × setups × size ×
+// iterations × seed — and the only encoding of it: uvmbench flags parse
+// into a Spec, POST /v1/experiments bodies decode into one, and shard
+// artifacts embed one. Every field is optional and its zero value means
+// the default; Resolve applies the defaults and validates every name.
 type Spec struct {
 	// Figure names one artifact; Figures names several (run in order,
 	// documents concatenated exactly like CLI `-json f1,f2`). They
-	// combine; "all" expands to the CLI's all-list.
+	// combine; "all" expands to AllFigures.
 	Figure  string   `json:"figure,omitempty"`
 	Figures []string `json:"figures,omitempty"`
-	// Profile is a built-in machine name ("" = the server's default).
-	// Unlike the CLI flag it cannot name a file: requests must not read
-	// the server's filesystem.
+	// Profile names the machine ("" = the surface's default). Which
+	// names resolve is up to the caller's lookup: the server accepts
+	// built-ins only, the CLI also profile JSON files.
 	Profile string `json:"profile,omitempty"`
-	// Profiles is the compare-profiles machine set (empty = all
-	// built-ins), again built-in names only.
+	// Profiles is the compare-profiles machine set (empty = every
+	// built-in), resolved through the same lookup.
 	Profiles []string `json:"profiles,omitempty"`
-	Workload string   `json:"workload,omitempty"` // compare-profiles workload (default gemm)
-	// Setups is the study's setup subset by registered name, exactly the
-	// CLI -setups list (empty = the paper's five). Unknown names fail
-	// with a nearest-name hint before anything simulates.
+	Workload string   `json:"workload,omitempty"` // compare-profiles and trace workload
+	// Setups is the study's setup subset by registered name (empty = the
+	// paper's five).
 	Setups []string `json:"setups,omitempty"`
-	Size   string   `json:"size,omitempty"` // size-class override (default per figure)
-	Iters    int      `json:"iters,omitempty"`    // iterations per configuration (default 30)
-	Seed     *int64   `json:"seed,omitempty"`     // base random seed (default 1)
-	Jobs     int      `json:"jobs,omitempty"`     // fig14 batch size (default 8)
-	// ItPar overrides the server's intra-cell iteration fan-out for this
-	// request (0 = the server's -itpar setting). Like -par it cannot
-	// change any response byte — it only trades latency for width.
+	Size   string   `json:"size,omitempty"`  // size-class override (default per figure)
+	Iters  int      `json:"iters,omitempty"` // iterations per configuration
+	Seed   *int64   `json:"seed,omitempty"`  // base random seed
+	Jobs   int      `json:"jobs,omitempty"`  // fig14/multigpu batch size
+	// ItPar is the intra-cell iteration fan-out (0 = the runner's
+	// setting). It cannot change any output byte.
 	ItPar int `json:"itpar,omitempty"`
-	// GPUs, Topology and Policy configure the multigpu grid, mirroring
-	// the -gpus/-topology/-policy CLI flags (defaults "1,2,4",
-	// "pcie-switch,nvlink", "least-loaded").
+	// GPUs, Topology and Policy configure the multigpu grid.
 	GPUs     []int    `json:"gpus,omitempty"`
 	Topology []string `json:"topology,omitempty"`
 	Policy   string   `json:"policy,omitempty"`
 }
+
+// Run-level defaults: what a zero Iters or a nil Seed means. The
+// figure-level ones live in Defaults.
+const (
+	DefaultIters       = core.DefaultIterations
+	DefaultSeed  int64 = 1
+)
 
 // specFields lists the accepted JSON keys, for typo suggestions.
 var specFields = []string{
@@ -61,9 +64,10 @@ var specFields = []string{
 	"size", "iters", "seed", "jobs", "itpar", "gpus", "topology", "policy",
 }
 
-// ParseSpec decodes and validates a request body. Unknown fields and
-// unknown names fail with the CLI's nearest-suggestion diagnostics, so
-// a curl typo gets the same help a shell typo does.
+// ParseSpec decodes and resolves a request body against the built-in
+// machines, with defaultProfile for specs that name none. Unknown fields
+// and unknown names fail with nearest-name suggestions, so a curl typo
+// gets the same help a shell typo does.
 func ParseSpec(r io.Reader, defaultProfile profile.Profile) (*Request, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -79,58 +83,66 @@ func ParseSpec(r io.Reader, defaultProfile profile.Profile) (*Request, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("bad spec: trailing data after the JSON object")
 	}
-	return s.resolve(defaultProfile)
+	if s.Figure == "" && len(s.Figures) == 0 {
+		return nil, fmt.Errorf("spec names no figures (try \"figure\": \"fig7\", or \"all\")")
+	}
+	return s.Resolve(func(name string) (profile.Profile, error) {
+		if name == "" {
+			return defaultProfile, nil
+		}
+		return profile.Lookup(name)
+	})
 }
 
-// Request is a validated, defaulted spec, ready to run.
+// Request is a resolved spec, ready to run.
 type Request struct {
 	Figures []string // expanded, validated figure list
 	Profile profile.Profile
 	Iters   int
 	Seed    int64
-	ItPar   int          // intra-cell fan-out override (0 = server setting)
+	ItPar   int          // intra-cell fan-out (0 = the runner's setting)
 	Setups  []cuda.Setup // resolved study subset (nil = paper five)
 	Opt     FigureOptions
 }
 
-// resolve applies the CLI flag defaults and validates every name
-// upfront — a typo must fail in microseconds, not after a figure
-// simulates.
-func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
-	figures := make([]string, 0, len(s.Figures)+1)
+// Configure applies the request's run settings to a runner.
+func (q *Request) Configure(r *core.Runner) {
+	r.Iterations = q.Iters
+	r.BaseSeed = q.Seed
+	r.Setups = q.Setups
+	if q.ItPar > 0 {
+		r.IterParallelism = q.ItPar
+	}
+}
+
+// Resolve applies the defaults and validates every name, so a typo
+// fails in microseconds, before any cell simulates. lookup resolves
+// machine names, and lookup("") must return the caller's default
+// machine; it is the one thing that differs between the surfaces.
+func (s *Spec) Resolve(lookup func(name string) (profile.Profile, error)) (*Request, error) {
+	figures := s.Figures
 	if s.Figure != "" {
-		figures = append(figures, s.Figure)
+		figures = append([]string{s.Figure}, figures...)
 	}
-	figures = append(figures, s.Figures...)
-	if len(figures) == 0 {
-		return nil, fmt.Errorf("spec names no figures (try \"figure\": \"fig7\", or \"all\")")
-	}
-	expanded := make([]string, 0, len(figures))
+	req := &Request{Iters: DefaultIters, Seed: DefaultSeed, ItPar: s.ItPar}
 	for _, f := range figures {
-		if f == "all" {
-			expanded = append(expanded, AllFigures...)
-			continue
-		}
-		if !IsFigure(f) {
+		switch {
+		case f == "all":
+			req.Figures = append(req.Figures, AllFigures...)
+		case IsFigure(f):
+			req.Figures = append(req.Figures, f)
+		default:
 			cands := append([]string{"all"}, FigureNames...)
 			return nil, fmt.Errorf("unknown figure %q%s", f, nearest.Hint(f, cands, 2))
 		}
-		expanded = append(expanded, f)
 	}
-
-	req := &Request{
-		Figures: expanded,
-		Profile: defaultProfile,
-		Iters:   core.DefaultIterations,
-		Seed:    1,
-		Opt: FigureOptions{
-			Size:     s.Size,
-			Jobs:     8,
-			Workload: "gemm",
-		},
-	}
-	if s.Iters < 0 {
-		return nil, fmt.Errorf("iters must be >= 0, got %d", s.Iters)
+	for _, v := range []struct {
+		name string
+		n    int
+	}{{"iters", s.Iters}, {"jobs", s.Jobs}, {"itpar", s.ItPar}} {
+		if v.n < 0 {
+			return nil, fmt.Errorf("%s must be >= 0, got %d", v.name, v.n)
+		}
 	}
 	if s.Iters > 0 {
 		req.Iters = s.Iters
@@ -138,74 +150,92 @@ func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
 	if s.Seed != nil {
 		req.Seed = *s.Seed
 	}
-	if s.Jobs < 0 {
-		return nil, fmt.Errorf("jobs must be >= 0, got %d", s.Jobs)
-	}
-	if s.ItPar < 0 {
-		return nil, fmt.Errorf("itpar must be >= 0, got %d", s.ItPar)
-	}
-	req.ItPar = s.ItPar
-	if s.Jobs > 0 {
-		req.Opt.Jobs = s.Jobs
-	}
-	if s.Workload != "" {
-		if _, err := workloads.ByName(s.Workload); err != nil {
-			return nil, err
-		}
-		req.Opt.Workload = s.Workload
-	}
-	if len(s.GPUs) > 0 {
-		parts := make([]string, len(s.GPUs))
-		for i, g := range s.GPUs {
-			if g < 1 {
-				return nil, fmt.Errorf("gpus entries must be positive device counts, got %d", g)
-			}
-			parts[i] = strconv.Itoa(g)
-		}
-		req.Opt.GPUs = strings.Join(parts, ",")
-	}
-	if len(s.Topology) > 0 {
-		csv := strings.Join(s.Topology, ",")
-		if _, err := topo.ParseKindList(csv); err != nil {
-			return nil, err
-		}
-		req.Opt.Topology = csv
-	}
-	if s.Policy != "" {
-		if _, err := sched.ParsePolicy(s.Policy); err != nil {
-			return nil, err
-		}
-		req.Opt.Policy = s.Policy
-	}
-	if len(s.Setups) > 0 {
-		setups, err := cuda.ParseSetupList(strings.Join(s.Setups, ","))
-		if err != nil {
-			return nil, err
-		}
-		req.Setups = setups
-	}
+	opt := FigureOptions{Size: s.Size, Jobs: s.Jobs, Workload: s.Workload, GPUs: s.GPUs, Policy: s.Policy}
 	if s.Size != "" {
 		if _, err := workloads.ParseSize(s.Size); err != nil {
 			return nil, err
 		}
 	}
-	if s.Profile != "" {
-		p, err := profile.Lookup(s.Profile)
+	if s.Workload != "" {
+		if _, err := workloads.ByName(s.Workload); err != nil {
+			return nil, err
+		}
+	}
+	for _, g := range s.GPUs {
+		if g < 1 {
+			return nil, fmt.Errorf("gpus entries must be positive device counts, got %d", g)
+		}
+	}
+	if len(s.Topology) > 0 {
+		topos, err := topo.ParseKindList(s.Topology)
 		if err != nil {
 			return nil, err
 		}
-		req.Profile = p
+		opt.Topology = topos
 	}
-	if len(s.Profiles) > 0 {
-		ps := make([]profile.Profile, 0, len(s.Profiles))
-		for _, name := range s.Profiles {
-			p, err := profile.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			ps = append(ps, p)
+	if s.Policy != "" {
+		if _, err := sched.ParsePolicy(s.Policy); err != nil {
+			return nil, err
 		}
-		req.Opt.Profiles = ps
 	}
+	if len(s.Setups) > 0 {
+		setups, err := cuda.ParseSetupList(s.Setups)
+		if err != nil {
+			return nil, err
+		}
+		req.Setups = setups
+	}
+	var err error
+	if req.Profile, err = lookup(s.Profile); err != nil {
+		return nil, err
+	}
+	for _, name := range s.Profiles {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		p, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		opt.Profiles = append(opt.Profiles, p)
+	}
+	if len(s.Profiles) > 0 && len(opt.Profiles) == 0 {
+		return nil, fmt.Errorf("profiles: list names no profiles")
+	}
+	req.Opt = opt.withDefaults()
 	return req, nil
+}
+
+// ListFlag parses a comma-separated flag value into a spec name list
+// ("" = empty, the default); Resolve trims and validates the entries.
+func ListFlag(dst *[]string) func(string) error {
+	return func(v string) error {
+		*dst = nil
+		if v != "" {
+			*dst = strings.Split(v, ",")
+		}
+		return nil
+	}
+}
+
+// CountsFlag parses a comma-separated device-count flag value into a
+// spec's GPUs ("" = empty, the default); Resolve checks the counts.
+func CountsFlag(dst *[]int) func(string) error {
+	return func(v string) error {
+		*dst = nil
+		for _, part := range strings.Split(v, ",") {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+			n, err := strconv.Atoi(part)
+			if err != nil {
+				return fmt.Errorf("entry %q is not a device count", part)
+			}
+			*dst = append(*dst, n)
+		}
+		if v != "" && *dst == nil {
+			return fmt.Errorf("names no device counts")
+		}
+		return nil
+	}
 }

@@ -46,10 +46,10 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("unknown topology %q%s", s, nearest.Hint(s, Kinds, 2))
 }
 
-// ParseKindList resolves a comma-separated topology list.
-func ParseKindList(csv string) ([]Kind, error) {
+// ParseKindList resolves a topology name list, ignoring blank entries.
+func ParseKindList(list []string) ([]Kind, error) {
 	var out []Kind
-	for _, part := range strings.Split(csv, ",") {
+	for _, part := range list {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue

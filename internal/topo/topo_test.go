@@ -22,11 +22,11 @@ func TestParseKind(t *testing.T) {
 	if _, err := ParseKind("nvlnk"); err == nil || !strings.Contains(err.Error(), "nvlink") {
 		t.Fatalf("typo should fail with a nearest hint, got %v", err)
 	}
-	ks, err := ParseKindList("pcie-switch, nvlink")
+	ks, err := ParseKindList([]string{"pcie-switch", " nvlink"})
 	if err != nil || len(ks) != 2 {
 		t.Fatalf("ParseKindList = %v, %v", ks, err)
 	}
-	if _, err := ParseKindList(" , "); err == nil {
+	if _, err := ParseKindList([]string{" ", ""}); err == nil {
 		t.Fatal("empty list should fail")
 	}
 }
