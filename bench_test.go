@@ -7,24 +7,10 @@ package uvmasim_test
 // the reproduction's numbers next to the harness cost.
 
 import (
-	"fmt"
-	"io"
-	"log"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"uvmasim/internal/core"
-	"uvmasim/internal/counters"
 	"uvmasim/internal/cuda"
-	"uvmasim/internal/pcie"
-	"uvmasim/internal/sched"
-	"uvmasim/internal/serve"
-	"uvmasim/internal/sim"
-	"uvmasim/internal/store"
-	"uvmasim/internal/topo"
-	"uvmasim/internal/uvm"
 	"uvmasim/internal/workloads"
 )
 
@@ -228,301 +214,4 @@ func BenchmarkFig14MultiJob(b *testing.B) {
 		imp = res.Improvement * 100
 	}
 	b.ReportMetric(imp, "%pipeline-improvement")
-}
-
-// BenchmarkOversubscription regenerates the full oversub artifact on the
-// default dense ratio grid — the sweep whose per-eviction full scan made
-// the pre-refactor `uvmbench oversub` CPU-bound in uvm.makeRoom. Its
-// ns/op is the committed baseline in BENCH_oversub.json; CI fails if it
-// regresses more than 3x (scripts/bench_oversub.sh).
-func BenchmarkOversubscription(b *testing.B) {
-	r := benchRunner()
-	var evicted float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		study, err := r.Oversubscription(cuda.UVMPrefetch, core.DefaultOversubRatios, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evicted = 0
-		for _, p := range study.Points {
-			evicted += p.EvictedBytes
-		}
-		if evicted == 0 {
-			b.Fatal("oversubscribed sweep did not evict")
-		}
-	}
-	b.ReportMetric(evicted/(1<<30), "GiB-evicted")
-}
-
-// BenchmarkMultiGPU regenerates the full multi-GPU schedule artifact —
-// the default 1/2/4-GPU sweep over both topologies, serial and
-// pipelined, so 12 DES schedules plus the analytic §6 oracle — with the
-// cell cache off, so every op pays the inner workload measurement and
-// every schedule replay. Its ns/op is the committed baseline in
-// BENCH_multigpu.json; CI fails if it regresses more than 3x
-// (scripts/bench_multigpu.sh).
-func BenchmarkMultiGPU(b *testing.B) {
-	r := benchRunner()
-	var retained float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Super,
-			8, []int{1, 2, 4}, []topo.Kind{topo.PCIeSwitch, topo.NVLink}, sched.LeastLoaded)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retained = 0
-		for _, p := range study.Points {
-			if p.Topology == string(topo.PCIeSwitch) && p.GPUs == 4 {
-				retained = 100 * p.Improvement
-			}
-		}
-		if study.Analytic.Improvement <= 0 {
-			b.Fatal("analytic projection shows no pipeline gain")
-		}
-	}
-	b.ReportMetric(retained, "%gain-4gpu-switch")
-}
-
-// BenchmarkFigureSuite regenerates the fig4 distribution grid plus the
-// fig7 Large breakdown on one serial worker with allocation accounting —
-// the end-to-end hot loop the GC-free refactor targets. Its ns/op and
-// allocs/op are the committed baseline in BENCH_suite.json; CI fails if
-// either regresses past its ratio gate (scripts/bench_suite.sh).
-func BenchmarkFigureSuite(b *testing.B) {
-	r := benchRunner()
-	r.Parallelism = 1
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Distributions(workloads.Micro(), []workloads.Size{workloads.Large}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.BreakdownComparison(workloads.Micro(), workloads.Large); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColdCellMegaUVM measures cold single-cell latency at the
-// heaviest iterating cell — vector_seq under the combination setup at
-// the Mega (32 GB) input — with the default executor and iteration
-// fan-out. This is the latency the -itpar fan-out targets: without it a
-// lone cold cell runs its iterations serially and leaves every other
-// executor worker idle, so the 1-core and multi-core rows of
-// BENCH_suite.json bracket the speedup. A fresh seed per op keeps every
-// measurement cold.
-func BenchmarkColdCellMegaUVM(b *testing.B) {
-	w, err := workloads.ByName("vector_seq")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := core.NewRunner()
-		r.Iterations = 8
-		r.Cache = false
-		r.BaseSeed = int64(i + 1)
-		res, err := r.Measure(w, cuda.UVMPrefetchAsync, workloads.Mega)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Breakdowns) != 8 {
-			b.Fatalf("cold cell returned %d breakdowns", len(res.Breakdowns))
-		}
-	}
-}
-
-// BenchmarkServeColdFig7 measures the serve cold path end to end: a
-// fresh server (empty cell cache, no store) handles a POST for one
-// fig7 figure, so the request pays full simulation. The intra-cell
-// fan-out bounds this first-request latency on multi-core servers; the
-// single-core row is the serial reference.
-func BenchmarkServeColdFig7(b *testing.B) {
-	quiet := log.New(io.Discard, "", 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := serve.New(serve.Config{Log: quiet})
-		spec := fmt.Sprintf(`{"figure":"fig7","iters":2,"seed":%d}`, i+1)
-		req := httptest.NewRequest(http.MethodPost, "/v1/experiments", strings.NewReader(spec))
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("POST status %d: %s", w.Code, w.Body.String())
-		}
-	}
-}
-
-// BenchmarkStoreWarmHit measures the warm-hit path of the persistent
-// cell store in isolation: the store is populated once, then every b.N
-// iteration builds a fresh runner (fresh in-memory cache) and re-measures
-// the same cell, so each Measure resolves from disk instead of
-// simulating. Its ns/op is the committed baseline in BENCH_store.json;
-// CI fails if it regresses more than 3x (scripts/bench_store.sh).
-func BenchmarkStoreWarmHit(b *testing.B) {
-	st, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := workloads.Micro()[0]
-	seed := core.NewRunner()
-	seed.Iterations = 3
-	seed.Store = st
-	if _, err := seed.Measure(w, cuda.UVMPrefetch, workloads.Large); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := core.NewRunner()
-		r.Iterations = 3
-		r.Store = st
-		res, err := r.Measure(w, cuda.UVMPrefetch, workloads.Large)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Breakdowns) == 0 {
-			b.Fatal("warm hit returned no breakdowns")
-		}
-		if r.StoreHits() != 1 {
-			b.Fatalf("cell simulated instead of hitting the store (hits=%d)", r.StoreHits())
-		}
-	}
-}
-
-// benchUVMEvictionMega churns a Mega-size (32 GB) managed region through
-// sequential demand faults against an 8 GB budget, so steady state evicts
-// on every fault — the driver-level hot loop behind the oversub sweep,
-// isolated from kernels and figure rendering.
-func benchUVMEvictionMega(b *testing.B, reference bool) {
-	const capacity = 8 << 30
-	footprint := workloads.Mega.Footprint()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := sim.New()
-		bus := pcie.New(eng, pcie.DefaultConfig())
-		var stats counters.UVMStats
-		m := uvm.NewManager(uvm.DefaultConfig(), bus, capacity, &stats)
-		m.SetReferenceEviction(reference)
-		r, err := m.Register(footprint)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		now := 0.0
-		for pass := 0; pass < 2; pass++ {
-			for c := 0; c < r.NumChunks(); c++ {
-				now = m.DemandChunk(r, c, now, 1, true)
-			}
-		}
-		if stats.Evictions == 0 {
-			b.Fatal("churn did not evict")
-		}
-	}
-}
-
-func BenchmarkUVMEvictionMega(b *testing.B) { benchUVMEvictionMega(b, false) }
-
-// BenchmarkUVMEvictionMegaScan runs the same churn through the retained
-// reference scan evictor; the ratio against BenchmarkUVMEvictionMega is
-// the data-structure speedup in isolation.
-func BenchmarkUVMEvictionMegaScan(b *testing.B) { benchUVMEvictionMega(b, true) }
-
-// BenchmarkContextCycle measures one full simulated process — context
-// creation through a vector_seq run — with allocation accounting, so the
-// hot-path allocation cuts in internal/cuda and internal/sim stay
-// visible in `go test -bench`.
-func BenchmarkContextCycle(b *testing.B) {
-	w, err := workloads.ByName("vector_seq")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cuda.DefaultSystemConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := cuda.NewContext(cfg, cuda.UVMPrefetchAsync, int64(i))
-		if err := w.Run(ctx, workloads.Large); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineEvents measures event scheduling and dispatch on a
-// reused engine, with allocation accounting: after warm-up the event
-// heap's backing array is recycled by Reset, so steady state should not
-// allocate.
-func BenchmarkEngineEvents(b *testing.B) {
-	eng := sim.New()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			eng.After(float64(j%7), fn)
-		}
-		eng.Run()
-		eng.Reset()
-	}
-}
-
-// BenchmarkWorkloads measures one simulated run per workload at Super
-// under the combination setup — the per-row cost behind Figure 8.
-func BenchmarkWorkloads(b *testing.B) {
-	for _, w := range workloads.All() {
-		w := w
-		b.Run(w.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := cuda.NewContext(cuda.DefaultSystemConfig(), cuda.UVMPrefetchAsync, int64(i))
-				if err := w.Run(ctx, workloads.Super); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServeWarmHit measures the serve fast path end to end: a
-// store-backed server handles a POST /v1/experiments whose cells are all
-// warm in the persistent store, so the request costs spec validation,
-// file reads and JSON rendering — no simulation. Every b.N iteration
-// boots a fresh server (fresh in-memory cache, fresh registry) against
-// the same store directory, modelling the restarted-process warm path.
-// Its ns/op is the committed baseline in BENCH_serve.json; CI fails if
-// it regresses more than 3x (scripts/bench_serve.sh).
-func BenchmarkServeWarmHit(b *testing.B) {
-	dirPath := b.TempDir()
-	const spec = `{"figure":"fig6","iters":3}`
-	post := func(s *serve.Server) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/experiments", strings.NewReader(spec))
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("POST status %d: %s", w.Code, w.Body.String())
-		}
-		return w
-	}
-	open := func() *store.Dir {
-		d, err := store.Open(dirPath)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return d
-	}
-	quiet := log.New(io.Discard, "", 0)
-	cold := serve.New(serve.Config{Store: open(), StoreDir: dirPath, Log: quiet})
-	want := post(cold).Body.String()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := serve.New(serve.Config{Store: open(), StoreDir: dirPath, Log: quiet})
-		if got := post(s).Body.String(); got != want {
-			b.Fatal("warm response diverges from cold response")
-		}
-		if s.Registry().Counter("uvmbench_store_hits_total", "").Value() == 0 {
-			b.Fatal("request simulated instead of hitting the store")
-		}
-	}
 }

@@ -10,7 +10,8 @@ import (
 // (-par, -itpar) combination prints byte-identical artifacts, for both
 // text and JSON renderings. The matrix crosses serial, partial and
 // over-wide widths (itpar 8 exceeds the 2-iteration cells, so blocks
-// degenerate to single iterations).
+// degenerate to single iterations); the whole `all` suite runs at a wide
+// and an over-wide setting (par 0 is every core).
 func TestParItparMatrix(t *testing.T) {
 	wantText := capture(t, "-i", "2", "-par", "1", "-itpar", "1", "fig7")
 	wantJSON := capture(t, "-i", "2", "-par", "1", "-itpar", "1", "-json", "fig7")
@@ -29,6 +30,17 @@ func TestParItparMatrix(t *testing.T) {
 				}
 				if got := capture(t, "-i", "2", "-par", pv, "-itpar", iv, "-json", "fig7"); got != wantJSON {
 					t.Errorf("JSON output diverges from -par 1 -itpar 1")
+				}
+			})
+		}
+	}
+	for _, format := range [][2]string{{"text", "-json=false"}, {"json", "-json"}} {
+		// `all` prints its cache footer to stderr; keep it out of the log.
+		want, _ := captureStderr(t, "-i", "2", "-par", "1", "-itpar", "1", format[1], "all")
+		for _, w := range [][2]string{{"4", "4"}, {"0", "8"}} {
+			t.Run(fmt.Sprintf("all_%s_par=%s_itpar=%s", format[0], w[0], w[1]), func(t *testing.T) {
+				if got, _ := captureStderr(t, "-i", "2", "-par", w[0], "-itpar", w[1], format[1], "all"); got != want {
+					t.Errorf("%s output diverges from -par 1 -itpar 1", format[0])
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,11 @@ func TestProfileDumpRoundTrip(t *testing.T) {
 	loaded := capture(t, "profiles", "show", path)
 	if orig != loaded {
 		t.Errorf("dumped profile shows differently after reload:\n%s\n---\n%s", orig, loaded)
+	}
+	// An experiment run from the file matches one on the built-in.
+	if byName, byFile := capture(t, "-profile", "grace-hopper-c2c", "-i", "1", "-size", "tiny", "fig8"),
+		capture(t, "-profile", path, "-i", "1", "-size", "tiny", "fig8"); byName != byFile {
+		t.Error("fig8 differs between the built-in profile and its dumped file")
 	}
 }
 
@@ -117,6 +123,9 @@ func TestCompareProfiles(t *testing.T) {
 	parallel := capture(t, "-i", "2", "-size", "tiny", "-workload", "vector_seq", "-par", "8", "-json", "compare-profiles")
 	if serial != parallel {
 		t.Errorf("compare-profiles JSON differs between -par 1 and -par 8")
+	}
+	if !json.Valid([]byte(serial)) {
+		t.Errorf("compare-profiles -json output is not valid JSON:\n%s", serial)
 	}
 }
 

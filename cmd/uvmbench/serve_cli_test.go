@@ -3,11 +3,16 @@ package main
 import (
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"uvmasim/internal/serve"
 )
@@ -63,6 +68,87 @@ func TestServeResponseMatchesCLI(t *testing.T) {
 	if got := w.Body.String(); got != want {
 		t.Errorf("server response diverges from CLI -json output:\n--- server\n%s--- cli\n%s", got, want)
 	}
+}
+
+// TestServeProcessRestart drives the serve subcommand as a process
+// would run it: on a real listener against a persistent cell store, its
+// POST response byte-equal to CLI -json output, stopped by SIGTERM. A
+// second boot on the same -cache-dir must answer from store hits
+// without simulating a cell.
+func TestServeProcessRestart(t *testing.T) {
+	want := capture(t, "-i", "2", "-json", "fig6,fig9")
+	cacheDir := filepath.Join(t.TempDir(), "cellstore")
+	for _, phase := range []struct {
+		name    string
+		metrics []string // patterns /metrics must match, one sample line each
+	}{
+		{"cold", []string{`uvmbench_cells_simulated_total [1-9]`, `uvmbench_request_seconds_count 1$`}},
+		{"warm", []string{`uvmbench_store_hits_total [1-9]`, `uvmbench_cells_simulated_total 0$`}},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := "http://" + ln.Addr().String()
+		ln.Close()
+		done := make(chan error, 1)
+		go func() { done <- run([]string{"-addr", base[len("http://"):], "-cache-dir", cacheDir, "serve"}) }()
+		for i := 0; ; i++ {
+			if code, _ := fetch(base+"/healthz", ""); code == http.StatusOK {
+				break
+			}
+			if i == 100 {
+				t.Fatalf("%s: serve never became healthy", phase.name)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+
+		if code, got := fetch(base+"/v1/experiments", `{"figures":["fig6","fig9"],"iters":2}`); code != http.StatusOK || got != want {
+			t.Errorf("%s: POST status %d, response diverges from CLI -json output", phase.name, code)
+		}
+		_, metrics := fetch(base+"/metrics", "")
+		for _, p := range phase.metrics {
+			if !regexp.MustCompile("(?m)^" + p).MatchString(metrics) {
+				t.Errorf("%s: /metrics has no sample matching %q", phase.name, p)
+			}
+		}
+		if code, _ := fetch(base+"/debug/pprof/cmdline", ""); code != http.StatusOK {
+			t.Errorf("%s: pprof cmdline status %d", phase.name, code)
+		}
+
+		self, _ := os.FindProcess(os.Getpid())
+		if err := self.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: serve exited with %v after SIGTERM", phase.name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: serve did not exit after SIGTERM", phase.name)
+		}
+	}
+}
+
+// fetch GETs url, or POSTs body to it when body is non-empty, and
+// returns the status code (0 on a transport error) and response body.
+func fetch(url, body string) (int, string) {
+	method := http.MethodGet
+	if body != "" {
+		method = http.MethodPost
+	}
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return 0, ""
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, ""
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b)
 }
 
 // TestServeArgErrors: serve is exclusive and unshardable.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,33 @@ func TestSetupsFlag(t *testing.T) {
 	if strings.Contains(out, "uvm_prefetch_async") {
 		t.Errorf("excluded setup leaked into the subset output:\n%s", out)
 	}
+
+	// Every registered setup at once, as JSON: fig7 lists all seven, and
+	// the zero-copy crossover (sparse gather vs dense gemm) renders.
+	const all = "standard,async,uvm,uvm_prefetch,uvm_prefetch_async,uvm_zerocopy,uvm_smcopy"
+	var fig7 struct {
+		Data []struct {
+			Setups []string `json:"setups"`
+		} `json:"data"`
+	}
+	doc := capture(t, "-i", "2", "-size", "small", "-setups", all, "-json", "-workload", "vector_seq", "fig7")
+	if err := json.Unmarshal([]byte(doc), &fig7); err != nil || len(fig7.Data) == 0 ||
+		strings.Join(fig7.Data[0].Setups, ",") != all {
+		t.Errorf("fig7 -json over every setup: %+v (err %v)", fig7.Data, err)
+	}
+	for _, w := range []string{"vector_gather", "gemm"} {
+		if doc := capture(t, "-i", "2", "-size", "medium", "-setups", all, "-json",
+			"-workload", w, "compare-profiles"); !json.Valid([]byte(doc)) {
+			t.Errorf("%s crossover is not valid JSON", w)
+		}
+	}
+	// The subset path through a counter figure and a trace run.
+	if out := capture(t, "-i", "1", "-size", "tiny", "-setups", "standard,uvm_zerocopy,uvm_smcopy", "fig9"); !strings.Contains(out, "uvm_smcopy") {
+		t.Errorf("fig9 subset output lacks uvm_smcopy:\n%s", out)
+	}
+	dir := t.TempDir()
+	capture(t, "-i", "1", "-workload", "gemm", "-setup", "uvm_smcopy", "-out", dir, "trace")
+	readTrace(t, dir, "gemm", "uvm_smcopy")
 }
 
 // TestSetupsFlagErrors: unknown and duplicate names fail before any

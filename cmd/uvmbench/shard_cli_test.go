@@ -32,10 +32,14 @@ func TestShardMergeByteIdentity(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 7} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
+			shardFlags := []string{"-i", iters, "-par", "4"}
+			if n == 3 {
+				// Shards that fan out iterations and keep a store.
+				shardFlags = append(shardFlags, "-itpar", "2", "-cache-dir", filepath.Join(dir, "shardstore"))
+			}
 			files := make([]string, n)
 			for i := 1; i <= n; i++ {
-				art := capture(t, "-i", iters, "-par", "4",
-					"-shard", fmt.Sprintf("%d/%d", i, n), "all")
+				art, _ := captureStderr(t, append(shardFlags, "-shard", fmt.Sprintf("%d/%d", i, n), "all")...)
 				files[i-1] = filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
 				if err := os.WriteFile(files[i-1], []byte(art), 0o644); err != nil {
 					t.Fatal(err)
@@ -52,6 +56,19 @@ func TestShardMergeByteIdentity(t *testing.T) {
 			mergeArgs = append([]string{"-par", "4", "-json", "merge"}, files...)
 			if got := capture(t, mergeArgs...); got != wantJSON {
 				t.Errorf("merged JSON diverges from unsharded -json output")
+			}
+			if n == 3 {
+				// A merge into a store seeds it: the suite then reruns on
+				// that store byte-identically without simulating a cell.
+				cells := filepath.Join(dir, "cellstore")
+				captureStderr(t, append([]string{"-cache-dir", cells, "-json", "merge"}, files...)...)
+				got, footer := captureStderr(t, "-i", iters, "-cache-dir", cells, "all")
+				if got != wantText {
+					t.Error("rerun on the merge-seeded store diverges from unsharded output")
+				}
+				if hits, simulated := storeTraffic(t, footer); hits == 0 || simulated != 0 {
+					t.Errorf("rerun on the merge-seeded store: %d store hits, %d cells simulated", hits, simulated)
+				}
 			}
 		})
 	}
@@ -191,13 +208,12 @@ func TestShardFlagValidation(t *testing.T) {
 }
 
 // TestCacheDirWarmRerun: a second run against the same -cache-dir
-// prints byte-identical output (exercising the CLI wiring of the
-// persistent store; the ≥5x wall-time claim is gated by
-// scripts/bench_store.sh).
+// prints byte-identical output and simulates no cell — every memory
+// miss is a store hit, which is what makes the warm rerun fast.
 func TestCacheDirWarmRerun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cellstore")
-	cold := capture(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
-	warm := capture(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
+	cold, coldFooter := captureStderr(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
+	warm, warmFooter := captureStderr(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
 	if cold != warm {
 		t.Error("warm -cache-dir rerun diverges from cold run")
 	}
@@ -205,6 +221,23 @@ func TestCacheDirWarmRerun(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Errorf("cache dir not populated (err=%v, entries=%d)", err, len(entries))
 	}
+	if hits, simulated := storeTraffic(t, coldFooter); hits != 0 || simulated == 0 {
+		t.Errorf("cold run should simulate every cell: %d store hits, %d simulated", hits, simulated)
+	}
+	if hits, simulated := storeTraffic(t, warmFooter); hits == 0 || simulated != 0 {
+		t.Errorf("warm rerun should simulate 0 cells: %d store hits, %d simulated", hits, simulated)
+	}
+}
+
+// storeTraffic parses the text cache footer of a store-backed run into
+// store hits and store misses; a store miss is a simulated cell.
+func storeTraffic(t *testing.T, footer string) (hits, misses int) {
+	t.Helper()
+	if _, err := fmt.Sscanf(footer, "cache: %d memory hits, %d memory misses; store: %d hits, %d misses",
+		new(int), new(int), &hits, &misses); err != nil {
+		t.Fatalf("unparsable cache footer %q: %v", footer, err)
+	}
+	return hits, misses
 }
 
 // TestUpfrontValidation: every path-like flag, the subcommand list and

@@ -159,3 +159,43 @@ func TestTraceJSONSummary(t *testing.T) {
 	}
 	readTrace(t, dir, "gemm", "uvm")
 }
+
+// TestMultiGPUGridFlags: -gpus, -topology and -policy choose the
+// multigpu grid, and the JSON document reports exactly that grid.
+func TestMultiGPUGridFlags(t *testing.T) {
+	out := capture(t, "-i", "2", "-json", "-gpus", "2", "-topology", "nvlink",
+		"-policy", "bandwidth-aware", "multigpu")
+	var doc struct {
+		Data struct {
+			Policy string
+			Points []struct {
+				Topology    string
+				GPUs        int
+				Improvement float64
+			}
+		}
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if p := doc.Data.Points; doc.Data.Policy != "bandwidth-aware" || len(p) != 1 ||
+		p[0].Topology != "nvlink" || p[0].GPUs != 2 || p[0].Improvement <= 0 {
+		t.Errorf("grid = %+v, want one bandwidth-aware nvlink/2 point with a pipeline gain", doc.Data)
+	}
+}
+
+// TestTraceMultiGPU: any multigpu grid flag turns the trace subcommand
+// into the per-GPU schedule export, one valid Chrome trace per
+// (topology, device count, schedule), each named in the summary.
+func TestTraceMultiGPU(t *testing.T) {
+	dir := t.TempDir()
+	out := capture(t, "-i", "1", "-gpus", "2", "-out", dir, "trace")
+	for _, topology := range []string{"pcie-switch", "nvlink"} {
+		for _, schedule := range []string{"serial", "pipelined"} {
+			readTrace(t, dir, "multigpu_"+topology+"_2", schedule)
+			if name := "trace_multigpu_" + topology + "_2_" + schedule + ".json"; !strings.Contains(out, name) {
+				t.Errorf("summary does not name %s:\n%s", name, out)
+			}
+		}
+	}
+}

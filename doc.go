@@ -14,6 +14,8 @@
 //   - cmd/uvmbench regenerates every table and figure.
 //   - examples/ hold runnable programs against the public API.
 //   - bench_test.go exposes one testing.B benchmark per table/figure.
+//   - perfbench/ is the benchmark ledger: end-to-end and per-layer
+//     metrics for the workloads declared in BENCHMARK.json.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured comparison.

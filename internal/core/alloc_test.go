@@ -8,6 +8,7 @@ import (
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/metrics"
+	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -206,5 +207,91 @@ func TestFanoutCellSteadyStateAllocFree(t *testing.T) {
 	}
 	if many > steadyCeiling+24 {
 		t.Errorf("steady-state fan-out measureCell allocates %.1f per call, ceiling %d", many, steadyCeiling+24)
+	}
+}
+
+// TestEndToEndAllocCeilings pins the allocation count of three whole
+// runner paths, each the minimum over single-run samples with GC off.
+// testing.AllocsPerRun runs at GOMAXPROCS 1. The cold Mega cell's count
+// varies with how its iteration fan-out schedules, so its ceiling keeps
+// headroom; the warm store hit's repeats exactly and is pinned exactly,
+// which holds only without -race (the race detector randomly drops
+// sync.Pool puts and allocates on its own).
+func TestEndToEndAllocCeilings(t *testing.T) {
+	vectorSeq, err := workloads.ByName("vector_seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	micro := workloads.Micro()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(r *Runner, w workloads.Workload, setup cuda.Setup, size workloads.Size) Result {
+		res, err := r.Measure(w, setup, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	storeHit := func() *Runner {
+		r := NewRunner()
+		r.Iterations = 3
+		r.Store = st
+		return r
+	}
+	measure(storeHit(), micro[0], cuda.UVMPrefetch, workloads.Large)
+	suite := allocTestRunner()
+	suite.Iterations = 3
+	seed := int64(0)
+	cases := []struct {
+		name    string
+		ceiling float64 // this test measures 561, 68-85 and 42
+		exact   bool
+		run     func()
+	}{
+		// The fig4 distribution grid plus the fig7 breakdown at Large,
+		// on one serial worker with the cell cache off.
+		{"figure-suite", 716, false, func() {
+			if _, err := suite.Distributions(micro, []workloads.Size{workloads.Large}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := suite.BreakdownComparison(micro, workloads.Large); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The heaviest iterating cell, cold (fresh seed) on a fresh
+		// runner with the default executor and iteration fan-out.
+		{"cold-cell-mega", 176, false, func() {
+			r := NewRunner()
+			r.Iterations = 8
+			r.Cache = false
+			seed++
+			r.BaseSeed = seed
+			if n := len(measure(r, vectorSeq, cuda.UVMPrefetchAsync, workloads.Mega).Breakdowns); n != 8 {
+				t.Fatalf("cold cell returned %d breakdowns", n)
+			}
+		}},
+		// A fresh runner re-measures a stored cell: it must come from
+		// disk, simulating nothing.
+		{"store-warm-hit", 42, true, func() {
+			r := storeHit()
+			if len(measure(r, micro[0], cuda.UVMPrefetch, workloads.Large).Breakdowns) == 0 || r.StoreHits() != 1 {
+				t.Fatalf("warm hit simulated or came back empty (store hits %d)", r.StoreHits())
+			}
+		}},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range cases {
+		if c.exact && raceEnabled {
+			continue
+		}
+		got := testing.AllocsPerRun(1, c.run)
+		for i := 1; i < 10; i++ {
+			got = min(got, testing.AllocsPerRun(1, c.run))
+		}
+		if got > c.ceiling {
+			t.Errorf("%s allocates %.0f per run, ceiling %.0f", c.name, got, c.ceiling)
+		}
 	}
 }

@@ -18,8 +18,8 @@ var updateGoldens = flag.Bool("update", false, "rewrite golden files from curren
 
 // Golden byte-identity tests for the O(1) eviction refactor. Every
 // golden file under testdata/ was captured from the pre-refactor code
-// (the full-scan evictor, now retained as uvm.SetReferenceEviction's
-// reference path), so a byte-for-byte match here proves the indexed
+// (the full-scan evictor, now the test oracle in
+// internal/uvm/differential_test.go), so a byte-for-byte match here proves the indexed
 // bookkeeping changed no simulated timing, counter, or rendered digit:
 //
 //   golden_oversub_default — the oversub sweep on the old default ratio

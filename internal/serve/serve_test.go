@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,6 +158,68 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if sim := samples["uvmbench_cells_simulated_total"]; sim != 0 {
 		t.Errorf("warm restart simulated %v cells, want 0", sim)
+	}
+}
+
+// TestRequestAllocCeilings pins the allocation count of a whole POST on
+// a freshly booted server (fresh cell cache, fresh registry), each the
+// minimum over single-run samples with GC off. testing.AllocsPerRun
+// runs at GOMAXPROCS 1. The cold count varies with how the iteration
+// fan-out schedules, so its ceiling keeps headroom; the warm count
+// repeats exactly and is pinned exactly, which holds only without -race
+// (the race detector allocates on its own).
+func TestRequestAllocCeilings(t *testing.T) {
+	dirPath := t.TempDir()
+	const warmSpec = `{"figure":"fig6","iters":3}`
+	// A discarding logger skips formatting the request log line.
+	discard := log.New(io.Discard, "", 0)
+	storeBacked := func() *Server {
+		d, err := store.Open(dirPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Store: d, StoreDir: dirPath, Log: discard})
+	}
+	cold := post(storeBacked().Handler(), warmSpec)
+	if cold.Code != http.StatusOK {
+		t.Fatalf("cold POST status %d: %s", cold.Code, cold.Body.String())
+	}
+	seed := 0
+	cases := []struct {
+		name    string
+		ceiling float64 // this test measures 1310-1370 and 274
+		exact   bool
+		run     func()
+	}{
+		// No store, and a fresh seed per call: full simulation.
+		{"cold-fig7", 4456, false, func() {
+			seed++
+			if w := post(New(Config{Log: discard}).Handler(), fmt.Sprintf(`{"figure":"fig7","iters":2,"seed":%d}`, seed)); w.Code != http.StatusOK {
+				t.Fatalf("POST status %d: %s", w.Code, w.Body.String())
+			}
+		}},
+		// A restarted process on a warm store: spec validation, file
+		// reads and rendering, no simulation.
+		{"warm-fig6", 274, true, func() {
+			s := storeBacked()
+			if post(s.Handler(), warmSpec).Body.String() != cold.Body.String() ||
+				s.Registry().Counter("uvmbench_store_hits_total", "").Value() == 0 {
+				t.Fatal("warm response diverges from the cold one or simulated instead of hitting the store")
+			}
+		}},
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range cases {
+		if c.exact && raceEnabled {
+			continue
+		}
+		got := testing.AllocsPerRun(1, c.run)
+		for i := 1; i < 10; i++ {
+			got = min(got, testing.AllocsPerRun(1, c.run))
+		}
+		if got > c.ceiling {
+			t.Errorf("%s allocates %.0f per request, ceiling %.0f", c.name, got, c.ceiling)
+		}
 	}
 }
 

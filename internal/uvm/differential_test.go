@@ -12,14 +12,34 @@ import (
 	"uvmasim/internal/trace"
 )
 
-// The differential harness drives the O(1) LRU-ring evictor and the
-// retained reference scan evictor (refscan.go) through identical random
-// workloads — demand faults, prefetch streams, device writes, dirty
-// marks, partial writebacks, unregister/re-register — on two managers
-// with independent buses, and asserts they stay bit-for-bit equal:
-// identical victim order and eviction-complete times, identical returned
-// availability times, identical UVMStats, identical per-chunk state and
-// identical trace event streams.
+// The differential harness drives the O(1) LRU-ring evictor through
+// random workloads — demand faults, prefetch streams, device writes,
+// dirty marks, partial writebacks, unregister/re-register, reset — and
+// checks every victim it picks, at the moment of eviction, against the
+// pre-optimization full scan (victimScan). Victim choice is the only
+// thing the two evictors could disagree on, so agreement at every
+// eviction makes the whole simulation — availability times, stats,
+// per-chunk state, trace events — identical to the scan era.
+
+// victimScan is the reference evictor: the pre-optimization full scan
+// over every chunk of every region for the smallest last-use stamp. It
+// is O(chunks) per call where the LRU ring is O(1). Map iteration order
+// over m.regions is not deterministic, but the strict `<` comparison on
+// unique stamps makes the selected victim independent of it.
+func (m *Manager) victimScan() (*Region, int) {
+	var victim *Region
+	vIdx := -1
+	var oldest int64 = math.MaxInt64
+	for _, reg := range m.regions {
+		for i := range reg.arrival {
+			if reg.Resident(i) && reg.lastUse[i] < oldest {
+				oldest = reg.lastUse[i]
+				victim, vIdx = reg, i
+			}
+		}
+	}
+	return victim, vIdx
+}
 
 type evictRec struct {
 	region int // ordinal in the harness's region table
@@ -37,7 +57,9 @@ type diffRig struct {
 	evicts  []evictRec
 }
 
-func newDiffRig(capacity int64, reference bool) *diffRig {
+// newDiffRig builds a rig whose eviction observer checks every victim
+// against the reference scan before recording it.
+func newDiffRig(t *testing.T, capacity int64) *diffRig {
 	eng := sim.New()
 	tr := trace.New()
 	eng.SetTracer(tr)
@@ -48,8 +70,11 @@ func newDiffRig(capacity int64, reference bool) *diffRig {
 		tr:   tr,
 		ords: make(map[*Region]int),
 	}
-	rig.m.SetReferenceEviction(reference)
 	rig.m.onEvict = func(r *Region, idx int, ready float64) {
+		if sr, si := rig.m.victimScan(); sr != r || si != idx {
+			t.Fatalf("eviction %d: ring picked r%d[%d] (stamp %d), scan picks r%d[%d]",
+				len(rig.evicts), rig.ords[r], idx, r.lastUse[idx], rig.ords[sr], si)
+		}
 		rig.evicts = append(rig.evicts, evictRec{rig.ords[r], idx, ready})
 	}
 	return rig
@@ -99,12 +124,13 @@ func (rig *diffRig) step(rng *rand.Rand, now float64) (float64, string) {
 	}
 }
 
-// TestDifferentialEviction is the property test of the tentpole: for
-// random capacities, region mixes (including regions larger than the
-// whole device budget, the self-evicting oversubscription regime) and
-// operation scripts, the new and reference evictors must be
-// indistinguishable.
+// TestDifferentialEviction is the evictor's property test: for random
+// capacities, region mixes (including regions larger than the whole
+// device budget, the self-evicting oversubscription regime) and
+// operation scripts, every victim the LRU ring picks must be the one the
+// reference scan picks.
 func TestDifferentialEviction(t *testing.T) {
+	evictions := 0
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -120,55 +146,40 @@ func TestDifferentialEviction(t *testing.T) {
 				}
 			}
 
-			fast := newDiffRig(capacity, false)
-			ref := newDiffRig(capacity, true)
+			rig := newDiffRig(t, capacity)
 			for _, s := range sizes {
-				fast.register(t, s)
-				ref.register(t, s)
+				rig.register(t, s)
 			}
-
-			// Both rigs replay the same script: clone the op stream by
-			// running two identical RNGs in lockstep.
-			opsA := rand.New(rand.NewSource(seed + 1000))
-			opsB := rand.New(rand.NewSource(seed + 1000))
+			ops := rand.New(rand.NewSource(seed + 1000))
 			now := 0.0
 			for step := 0; step < 300; step++ {
-				gotA, label := fast.step(opsA, now)
-				gotB, _ := ref.step(opsB, now)
-				if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
-					t.Fatalf("step %d (%s): time %v (lru) != %v (scan)", step, label, gotA, gotB)
-				}
-				if !math.IsNaN(gotA) && gotA > now {
-					now = gotA
+				if got, _ := rig.step(ops, now); !math.IsNaN(got) && got > now {
+					now = got
 				}
 				// Occasionally recycle a region mid-run.
 				if step%97 == 96 {
-					i := opsA.Intn(len(fast.regions))
-					_ = opsB.Intn(len(ref.regions))
-					recycle(t, fast, i)
-					recycle(t, ref, i)
+					recycle(t, rig, ops.Intn(len(rig.regions)))
 				}
 				// And occasionally reset the whole manager (the pooled
 				// context lifecycle), re-registering every region from
 				// the recycled arenas.
 				if step%131 == 130 {
-					resetRig(t, fast, sizes)
-					resetRig(t, ref, sizes)
+					resetRig(t, rig, sizes)
 				}
 			}
-
-			compareRigs(t, fast, ref)
+			evictions += len(rig.evicts)
 
 			// Everything ends clean.
-			for i := range fast.regions {
-				recycle(t, fast, i)
-				recycle(t, ref, i)
+			for i := range rig.regions {
+				recycle(t, rig, i)
 			}
-			if fast.m.ResidentBytes() != 0 || ref.m.ResidentBytes() != 0 {
-				t.Fatalf("resident bytes leaked: lru %d, scan %d",
-					fast.m.ResidentBytes(), ref.m.ResidentBytes())
+			if rig.m.ResidentBytes() != 0 {
+				t.Fatalf("resident bytes leaked: %d", rig.m.ResidentBytes())
 			}
 		})
+	}
+	if evictions == 0 {
+		t.Fatal("no script evicted; the scan oracle was never consulted")
 	}
 }
 
@@ -202,50 +213,50 @@ func resetRig(t *testing.T, rig *diffRig, sizes []int64) {
 	}
 }
 
-// compareRigs asserts full observable-state equality between the two
-// rigs, trace streams included.
-func compareRigs(t *testing.T, fast, ref *diffRig) {
+// compareRigs asserts full observable-state equality between two rigs,
+// trace streams included.
+func compareRigs(t *testing.T, a, b *diffRig) {
 	t.Helper()
-	compareRigsState(t, fast, ref)
-	compareTraces(t, fast.tr.Events(), ref.tr.Events())
+	compareRigsState(t, a, b)
+	compareTraces(t, a.tr.Events(), b.tr.Events())
 }
 
 // compareRigsState asserts equality of everything except the raw trace
 // streams (TestResetMatchesFresh compares those over a suffix, since the
 // recycled rig's tracer keeps its warm-phase events).
-func compareRigsState(t *testing.T, fast, ref *diffRig) {
+func compareRigsState(t *testing.T, a, b *diffRig) {
 	t.Helper()
-	if len(fast.evicts) != len(ref.evicts) {
-		t.Fatalf("eviction counts differ: %d (lru) vs %d (scan)", len(fast.evicts), len(ref.evicts))
+	if len(a.evicts) != len(b.evicts) {
+		t.Fatalf("eviction counts differ: %d (a) vs %d (b)", len(a.evicts), len(b.evicts))
 	}
-	for i := range fast.evicts {
-		if fast.evicts[i] != ref.evicts[i] {
-			t.Fatalf("eviction %d differs: %+v (lru) vs %+v (scan)", i, fast.evicts[i], ref.evicts[i])
+	for i := range a.evicts {
+		if a.evicts[i] != b.evicts[i] {
+			t.Fatalf("eviction %d differs: %+v (a) vs %+v (b)", i, a.evicts[i], b.evicts[i])
 		}
 	}
-	if *fast.m.Stats != *ref.m.Stats {
-		t.Fatalf("stats differ:\nlru:  %+v\nscan: %+v", *fast.m.Stats, *ref.m.Stats)
+	if *a.m.Stats != *b.m.Stats {
+		t.Fatalf("stats differ:\na: %+v\nb: %+v", *a.m.Stats, *b.m.Stats)
 	}
-	if fast.m.ResidentBytes() != ref.m.ResidentBytes() {
-		t.Fatalf("resident bytes differ: %d vs %d", fast.m.ResidentBytes(), ref.m.ResidentBytes())
+	if a.m.ResidentBytes() != b.m.ResidentBytes() {
+		t.Fatalf("resident bytes differ: %d vs %d", a.m.ResidentBytes(), b.m.ResidentBytes())
 	}
-	for i, fr := range fast.regions {
-		rr := ref.regions[i]
-		if fr.ResidentChunks() != rr.ResidentChunks() || fr.ResidentBytes() != rr.ResidentBytes() ||
-			fr.DirtyChunks() != rr.DirtyChunks() {
+	for i, ra := range a.regions {
+		rb := b.regions[i]
+		if ra.ResidentChunks() != rb.ResidentChunks() || ra.ResidentBytes() != rb.ResidentBytes() ||
+			ra.DirtyChunks() != rb.DirtyChunks() {
 			t.Fatalf("region %d summary differs: res %d/%d bytes %d/%d dirty %d/%d", i,
-				fr.ResidentChunks(), rr.ResidentChunks(), fr.ResidentBytes(), rr.ResidentBytes(),
-				fr.DirtyChunks(), rr.DirtyChunks())
+				ra.ResidentChunks(), rb.ResidentChunks(), ra.ResidentBytes(), rb.ResidentBytes(),
+				ra.DirtyChunks(), rb.DirtyChunks())
 		}
-		for c := range fr.arrival {
-			if fr.arrival[c] != rr.arrival[c] && !(math.IsInf(fr.arrival[c], 1) && math.IsInf(rr.arrival[c], 1)) {
-				t.Fatalf("region %d chunk %d arrival differs: %v vs %v", i, c, fr.arrival[c], rr.arrival[c])
+		for c := range ra.arrival {
+			if ra.arrival[c] != rb.arrival[c] && !(math.IsInf(ra.arrival[c], 1) && math.IsInf(rb.arrival[c], 1)) {
+				t.Fatalf("region %d chunk %d arrival differs: %v vs %v", i, c, ra.arrival[c], rb.arrival[c])
 			}
-			if fr.dirty[c] != rr.dirty[c] {
+			if ra.dirty[c] != rb.dirty[c] {
 				t.Fatalf("region %d chunk %d dirty differs", i, c)
 			}
-			if fr.lastUse[c] != rr.lastUse[c] {
-				t.Fatalf("region %d chunk %d stamp differs: %d vs %d", i, c, fr.lastUse[c], rr.lastUse[c])
+			if ra.lastUse[c] != rb.lastUse[c] {
+				t.Fatalf("region %d chunk %d stamp differs: %d vs %d", i, c, ra.lastUse[c], rb.lastUse[c])
 			}
 		}
 	}
@@ -268,7 +279,7 @@ func compareTraces(t *testing.T, evA, evB []trace.Event) {
 // victim choice: the global ring is always sorted by last-use stamp.
 func TestLRUMatchesStampOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rig := newDiffRig(9<<20, false)
+	rig := newDiffRig(t, 9<<20)
 	for _, s := range []int64{5 << 20, 7 << 20, 4<<20 - 777} {
 		rig.register(t, s)
 	}
@@ -322,8 +333,8 @@ func TestDemandRangeMatchesChunkLoop(t *testing.T) {
 				}
 			}
 
-			batched := newDiffRig(capacity, false)
-			looped := newDiffRig(capacity, false)
+			batched := newDiffRig(t, capacity)
+			looped := newDiffRig(t, capacity)
 			for _, s := range sizes {
 				batched.register(t, s)
 				looped.register(t, s)
@@ -398,7 +409,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				}
 			}
 
-			recycled := newDiffRig(capacity, false)
+			recycled := newDiffRig(t, capacity)
 			for _, s := range warmSizes {
 				recycled.register(t, s)
 			}
@@ -421,7 +432,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			recycled.ords = make(map[*Region]int)
 			warmEvents := len(recycled.tr.Events())
 
-			fresh := newDiffRig(capacity, false)
+			fresh := newDiffRig(t, capacity)
 			for _, s := range sizes {
 				recycled.register(t, s)
 				fresh.register(t, s)

@@ -25,9 +25,8 @@ import "math"
 // runs barrier-free and the arena is skipped by the garbage collector's
 // scan entirely.
 //
-// The reference scan selector is retained in refscan.go; the
-// differential test pins the two implementations to identical victim
-// order, timing and stats.
+// The reference scan selector lives in the differential test, which
+// checks every victim the ring yields against it.
 
 // chunkNode is the intrusive list node of one migration granule, living
 // in the Manager's flat arena at slot region.base+idx. A chunk is linked
@@ -124,12 +123,8 @@ func (m *Manager) touch(r *Region, idx int) {
 }
 
 // victim returns the least-recently-used resident chunk, or (nil, -1)
-// when nothing is resident. O(1) on the LRU ring; the reference scan
-// selector is used instead when the manager is in reference mode.
+// when nothing is resident. O(1) on the LRU ring.
 func (m *Manager) victim() (*Region, int) {
-	if m.scanEvict {
-		return m.victimScan()
-	}
 	if s := m.nodes[0].next; s != 0 {
 		n := &m.nodes[s]
 		return m.regs[n.region], int(n.idx)

@@ -17,11 +17,10 @@
 // link state lives in index-linked flat arenas owned by the Manager, and
 // Regions are recycled through a free list across Register/Unregister
 // cycles, so a warmed-up manager simulates without allocating or writing
-// heap pointers. The pre-optimization scan evictor is retained as a
-// reference implementation (refscan.go) and pinned equivalent by a
-// differential test. All timing is bit-for-bit identical to the scan
-// era: same victim order, same writeback reservations, same stats, same
-// trace instants.
+// heap pointers. The pre-optimization scan evictor lives on as a test
+// oracle: the differential test checks every victim against it. All
+// timing is bit-for-bit identical to the scan era: same victim order,
+// same writeback reservations, same stats, same trace instants.
 package uvm
 
 import (
@@ -118,13 +117,13 @@ type Manager struct {
 	// resolves a node's owner without a pointer in the node. free lists
 	// unregistered regions available for recycling (best-fit by chunk
 	// capacity, so the choice is independent of free-list order).
-	nodes     []chunkNode
-	regs      []*Region
-	free      []*Region
-	scanEvict bool // select victims with the reference scan instead
-	// onEvict, when non-nil, observes every eviction (region, chunk,
-	// eviction-complete time). Differential tests use it to record and
-	// compare victim order between the two evictors.
+	nodes []chunkNode
+	regs  []*Region
+	free  []*Region
+	// onEvict, when non-nil, observes every eviction just before the
+	// victim is released (region, chunk, eviction-complete time). The
+	// differential test uses it to check each victim against a
+	// reference full scan.
 	onEvict func(r *Region, idx int, ready float64)
 
 	Stats *counters.UVMStats
@@ -263,9 +262,9 @@ func (m *Manager) recycle(r *Region) {
 
 // Reset force-unregisters every remaining region and restarts the id and
 // stamp clocks, returning the manager to its post-NewManager state while
-// keeping every arena warm for reuse. Configuration (capacity, eviction
-// mode, observers, the Stats sink) is preserved; the caller owns
-// re-zeroing Stats. Recycling is deterministic and recycled regions are
+// keeping every arena warm for reuse. Configuration (capacity,
+// observers, the Stats sink) is preserved; the caller owns re-zeroing
+// Stats. Recycling is deterministic and recycled regions are
 // indistinguishable from fresh ones, so a reset manager reproduces a
 // fresh manager's simulation bit for bit.
 func (m *Manager) Reset() {
@@ -309,15 +308,15 @@ func (m *Manager) makeRoom(t float64, need int64) float64 {
 			ready = end
 			victim.clearDirtyOnEvict(vIdx)
 		}
+		if m.onEvict != nil {
+			m.onEvict(victim, vIdx, ready)
+		}
 		m.release(victim, vIdx, size)
 		m.Stats.EvictedBytes += float64(size)
 		m.Stats.Evictions++
 		if tr := m.bus.Tracer(); tr != nil {
 			tr.Instant(trace.UVMFaults, "evict", ready, trace.ChunkArgs(vIdx, size))
 			tr.Count("uvm.evicted_bytes", float64(size))
-		}
-		if m.onEvict != nil {
-			m.onEvict(victim, vIdx, ready)
 		}
 	}
 	return ready
@@ -335,85 +334,59 @@ func (m *Manager) makeRoom(t float64, need int64) float64 {
 //     access proceeds at max(arrival, t+batch latency).
 //   - Not resident: fault batch + on-demand migration.
 func (m *Manager) DemandChunk(r *Region, idx int, t float64, patternEff float64, coalesced bool) float64 {
-	m.touch(r, idx)
-	if r.Resident(idx) {
-		if arr := r.arrival[idx]; arr > t {
-			m.Stats.PageFaults++
-			m.Stats.FaultBatches++
-			wait := t + m.cfg.FaultBatchLatencyNs
-			if arr > wait {
-				wait = arr
-			}
-			if tr := m.bus.Tracer(); tr != nil {
-				// The access raced an in-flight prefetch: one fault, no
-				// migration traffic.
-				tr.Instant(trace.UVMFaults, "fault_wait", t, trace.ChunkArgs(idx, 0))
-				tr.Count("uvm.fault_batches", 1)
-			}
-			return wait
-		}
-		return t
-	}
-	size := m.chunkSize(r, idx)
-	ready := m.makeRoom(t, size)
-	blocks := float64((size + m.cfg.FaultBlockBytes - 1) / m.cfg.FaultBlockBytes)
-	latency := m.cfg.FaultBatchLatencyNs
-	if coalesced {
-		latency /= 8
-		blocks /= 8
-	}
-	m.Stats.PageFaults += blocks
-	m.Stats.FaultBatches++
-	m.Stats.MigratedBytes += float64(size)
-	if tr := m.bus.Tracer(); tr != nil {
-		args := trace.ChunkArgs(idx, size)
-		args.Batch = blocks
-		tr.Instant(trace.UVMFaults, "fault_batch", ready, args)
-		tr.Count("uvm.fault_batches", 1)
-		tr.Count("uvm.migrated_bytes", float64(size))
-	}
-	end := m.bus.MigrateOnDemand(ready+latency, size, patternEff)
-	m.hold(r, idx, end, size)
-	return end
+	return m.demand(r, idx, idx+1, t, 0, patternEff, coalesced)
 }
 
 // DemandRange walks chunks [lo, hi) of r as one coalesced sequential
 // demand stream: per chunk it performs exactly what
 // DemandChunk(r, i, cursor, 1, true) does, then advances the compute
 // cursor by the chunk's payload bytes × computePerByte, starting from
-// cursor = t. The per-chunk float arithmetic, stats accumulation order
-// and trace instants are identical to the equivalent caller-side
-// DemandChunk loop — goldens and traces observe the same bytes — while
-// the loop invariants (tracer lookup, the fault geometry of full-size
-// chunks, the coalesced batch latency) are hoisted out of the hot loop.
-// It returns the compute cursor after the last chunk.
+// cursor = t. It returns the compute cursor after the last chunk.
 func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) float64 {
-	tr := m.bus.Tracer()
-	full := m.cfg.ChunkBytes
-	fullBlocks := float64((full+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) / 8
-	latency := m.cfg.FaultBatchLatencyNs / 8
-	last := r.NumChunks() - 1
+	return m.demand(r, lo, hi, t, computePerByte, 1, true)
+}
+
+// demand is the one demand loop behind DemandChunk and DemandRange. Per
+// chunk of [lo, hi) it touches the chunk, makes it available at the
+// compute cursor (resident: proceed; in flight: one fault, wait for the
+// arrival; not resident: fault batch plus on-demand migration), then
+// advances the cursor by the chunk's bytes × computePerByte. With
+// computePerByte 0 the returned cursor is the availability time itself.
+// The fault geometry of a full chunk (an integer division) is hoisted
+// out of the loop; cheap loads such as the tracer stay at their use
+// sites, because values kept live across the loop's calls cost the
+// one-chunk DemandChunk path more than reloading them does.
+func (m *Manager) demand(r *Region, lo, hi int, t, computePerByte, patternEff float64, coalesced bool) float64 {
+	// A coalesced stream amortizes one fault batch over 8 granules; the
+	// power-of-two scale keeps x*scale bit-identical to x/8.
+	scale := 1.0
+	if coalesced {
+		scale = 0.125
+	}
+	fullBlocks := float64((m.cfg.ChunkBytes+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) * scale
 	cursor := t
 	for i := lo; i < hi; i++ {
 		m.touch(r, i)
-		size := full
+		size := m.cfg.ChunkBytes
 		blocks := fullBlocks
-		if i == last {
-			if rem := r.Size % full; rem != 0 {
+		if i == len(r.arrival)-1 {
+			if rem := r.Size % size; rem != 0 {
 				size = rem
-				blocks = float64((size+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) / 8
+				blocks = float64((size+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) * scale
 			}
 		}
-		if !math.IsInf(r.arrival[i], 1) {
+		if arr := r.arrival[i]; !math.IsInf(arr, 1) {
 			avail := cursor
-			if arr := r.arrival[i]; arr > cursor {
+			if arr > cursor {
 				m.Stats.PageFaults++
 				m.Stats.FaultBatches++
 				wait := cursor + m.cfg.FaultBatchLatencyNs
 				if arr > wait {
 					wait = arr
 				}
-				if tr != nil {
+				if tr := m.bus.Tracer(); tr != nil {
+					// The access raced an in-flight prefetch: one fault,
+					// no migration traffic.
 					tr.Instant(trace.UVMFaults, "fault_wait", cursor, trace.ChunkArgs(i, 0))
 					tr.Count("uvm.fault_batches", 1)
 				}
@@ -429,14 +402,14 @@ func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) 
 		m.Stats.PageFaults += blocks
 		m.Stats.FaultBatches++
 		m.Stats.MigratedBytes += float64(size)
-		if tr != nil {
+		if tr := m.bus.Tracer(); tr != nil {
 			args := trace.ChunkArgs(i, size)
 			args.Batch = blocks
 			tr.Instant(trace.UVMFaults, "fault_batch", ready, args)
 			tr.Count("uvm.fault_batches", 1)
 			tr.Count("uvm.migrated_bytes", float64(size))
 		}
-		end := m.bus.MigrateOnDemand(ready+latency, size, 1)
+		end := m.bus.MigrateOnDemand(ready+m.cfg.FaultBatchLatencyNs*scale, size, patternEff)
 		m.hold(r, i, end, size)
 		cursor = end + float64(size)*computePerByte
 	}
