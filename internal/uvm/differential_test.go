@@ -275,40 +275,265 @@ func compareTraces(t *testing.T, evA, evB []trace.Event) {
 	}
 }
 
-// TestLRUMatchesStampOrder pins the structural invariant behind the O(1)
-// victim choice: the global ring is always sorted by last-use stamp.
+// assertUnlinked fails unless no arena node is linked, the lazy mode's
+// invariant: before a manager's first eviction and after Reset.
+func assertUnlinked(t *testing.T, m *Manager, when string) {
+	t.Helper()
+	if m.ringed {
+		t.Fatalf("%s: manager is in ring mode", when)
+	}
+	if s := m.nodes[0]; s.prev != 0 || s.next != 0 {
+		t.Fatalf("%s: ring sentinel links %d/%d, want an empty ring", when, s.prev, s.next)
+	}
+	for s := 1; s < len(m.nodes); s++ {
+		if n := m.nodes[s]; n.prev != -1 || n.next != -1 {
+			t.Fatalf("%s: node %d is linked (%d/%d) while the ring is unbuilt", when, s, n.prev, n.next)
+		}
+	}
+}
+
+// assertRingSorted fails unless the ring is built and holds exactly the
+// resident chunks of the live regions, in strictly ascending stamp
+// order, with consistent back links.
+func assertRingSorted(t *testing.T, m *Manager, when string) {
+	t.Helper()
+	if !m.ringed {
+		t.Fatalf("%s: ring not built", when)
+	}
+	last := int64(-1)
+	count := 0
+	for s := m.nodes[0].next; s != 0; s = m.nodes[s].next {
+		n := m.nodes[s]
+		if m.nodes[n.next].prev != s {
+			t.Fatalf("%s: node %d's successor does not link back", when, s)
+		}
+		reg := m.regs[n.region]
+		if m.regions[reg.id] != reg {
+			t.Fatalf("%s: chunk of an unregistered region on the ring", when)
+		}
+		if !reg.Resident(int(n.idx)) {
+			t.Fatalf("%s: non-resident chunk on the ring", when)
+		}
+		stamp := reg.lastUse[n.idx]
+		if stamp <= last {
+			t.Fatalf("%s: ring out of stamp order (%d after %d)", when, stamp, last)
+		}
+		last = stamp
+		count++
+	}
+	total := 0
+	for _, r := range m.regions {
+		total += r.ResidentChunks()
+	}
+	if count != total {
+		t.Fatalf("%s: ring has %d nodes, regions count %d resident", when, count, total)
+	}
+}
+
+// TestLRUMatchesStampOrder pins the structural invariants behind the
+// O(1) victim choice and the lazy ring: before a manager's first
+// eviction no arena node is linked; from the first eviction on, the ring
+// holds exactly the resident chunks, sorted by last-use stamp; and Reset
+// unlinks every node again, so the next life starts lazy.
 func TestLRUMatchesStampOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	sizes := []int64{5 << 20, 7 << 20, 4<<20 - 777}
 	rig := newDiffRig(t, 9<<20)
-	for _, s := range []int64{5 << 20, 7 << 20, 4<<20 - 777} {
+	for _, s := range sizes {
 		rig.register(t, s)
 	}
 	now := 0.0
-	for step := 0; step < 500; step++ {
-		if got, _ := rig.step(rng, now); !math.IsNaN(got) && got > now {
-			now = got
+	for life := 0; life < 2; life++ {
+		if life > 0 {
+			resetRig(t, rig, sizes)
+			assertUnlinked(t, rig.m, "after Reset")
 		}
-		last := int64(-1)
-		count := 0
-		for s := rig.m.nodes[0].next; s != 0; s = rig.m.nodes[s].next {
-			n := rig.m.nodes[s]
-			reg := rig.m.regs[n.region]
-			stamp := reg.lastUse[n.idx]
-			if stamp <= last {
-				t.Fatalf("step %d: ring out of stamp order (%d after %d)", step, stamp, last)
+		born := len(rig.evicts)
+		lazySteps, ringSteps := 0, 0
+		for step := 0; step < 250; step++ {
+			if got, _ := rig.step(rng, now); !math.IsNaN(got) && got > now {
+				now = got
 			}
-			if !reg.Resident(int(n.idx)) {
-				t.Fatalf("step %d: non-resident chunk on the ring", step)
+			when := fmt.Sprintf("life %d step %d", life, step)
+			if len(rig.evicts) == born {
+				assertUnlinked(t, rig.m, when)
+				lazySteps++
+			} else {
+				assertRingSorted(t, rig.m, when)
+				ringSteps++
 			}
-			last = stamp
-			count++
 		}
-		total := 0
-		for _, r := range rig.regions {
-			total += r.ResidentChunks()
+		if lazySteps == 0 || ringSteps == 0 {
+			t.Fatalf("life %d: %d steps before the first eviction, %d after; want both modes covered",
+				life, lazySteps, ringSteps)
 		}
-		if count != total {
-			t.Fatalf("step %d: ring has %d nodes, regions count %d resident", step, count, total)
+	}
+}
+
+// drop unregisters region i and removes it from the rig's table.
+func (rig *diffRig) drop(t *testing.T, i int) {
+	t.Helper()
+	if err := rig.m.Unregister(rig.regions[i]); err != nil {
+		t.Fatal(err)
+	}
+	delete(rig.ords, rig.regions[i])
+	rig.regions = append(rig.regions[:i], rig.regions[i+1:]...)
+	for j, r := range rig.regions {
+		rig.ords[r] = j
+	}
+}
+
+// TestRingBuildOnFirstEviction drives the first-eviction ring build
+// through its edge cases. Each script runs on two managers: a lazy one,
+// whose trigger operation builds the ring, and an eager one, whose
+// (empty) ring is built before the script starts so every hold and
+// touch maintains it — the design before the ring became lazy. Every
+// victim on both is checked against victimScan, and both must end in
+// identical state.
+func TestRingBuildOnFirstEviction(t *testing.T) {
+	const chunk = 2 << 20
+	demandAll := func(rig *diffRig, i int, now float64) float64 {
+		r := rig.regions[i]
+		return rig.m.DemandRange(r, 0, r.NumChunks(), now, 0.001)
+	}
+	cases := []struct {
+		name     string
+		capacity int64
+		sizes    []int64
+		// pre runs up to the first eviction without evicting; trigger
+		// is the operation that must evict first.
+		pre, trigger func(t *testing.T, rig *diffRig, now float64) float64
+	}{
+		{
+			// a's chunks take the lowest stamps, then a is unregistered:
+			// its stale stamps must not reach the ring.
+			name: "unregistered-before-build", capacity: 8 * chunk,
+			sizes: []int64{6 * chunk, 4 * chunk, 5*chunk - 777},
+			pre: func(t *testing.T, rig *diffRig, now float64) float64 {
+				now = demandAll(rig, 0, now)
+				rig.drop(t, 0)
+				return demandAll(rig, 0, now)
+			},
+			trigger: func(t *testing.T, rig *diffRig, now float64) float64 {
+				return demandAll(rig, 1, now)
+			},
+		},
+		{
+			// a is recycled from the free list and only partly demanded
+			// again: its untouched chunks keep the previous life's
+			// stamps, which are older than every resident chunk's.
+			name: "recycled-region", capacity: 6 * chunk,
+			sizes: []int64{4 * chunk, 4 * chunk},
+			pre: func(t *testing.T, rig *diffRig, now float64) float64 {
+				now = demandAll(rig, 0, now)
+				now = rig.m.DemandRange(rig.regions[1], 0, 2, now, 0.001)
+				old := rig.regions[0]
+				recycle(t, rig, 0)
+				if rig.regions[0] != old {
+					t.Fatal("re-registration did not recycle the freed region")
+				}
+				now = rig.m.DemandRange(rig.regions[0], 2, 4, now, 0.001)
+				return rig.m.DemandRange(rig.regions[1], 2, 4, now, 0.001)
+			},
+			trigger: func(t *testing.T, rig *diffRig, now float64) float64 {
+				return rig.m.DemandChunk(rig.regions[0], 0, now, 1, false)
+			},
+		},
+		{
+			// The prefetch stream fits its first chunks, then builds the
+			// ring in the middle of the stream and evicts dirty chunks.
+			name: "prefetch-mid-stream", capacity: 6 * chunk,
+			sizes: []int64{3 * chunk, 5*chunk - 777},
+			pre: func(t *testing.T, rig *diffRig, now float64) float64 {
+				now = demandAll(rig, 0, now)
+				rig.m.MarkDirty(rig.regions[0], 0, 2*chunk)
+				return now
+			},
+			trigger: func(t *testing.T, rig *diffRig, now float64) float64 {
+				return rig.m.PrefetchRegion(rig.regions[1], now)
+			},
+		},
+		{
+			// The same for a device write that allocates chunk by chunk.
+			name: "write-mid-stream", capacity: 6 * chunk,
+			sizes: []int64{3 * chunk, 5 * chunk},
+			pre: func(t *testing.T, rig *diffRig, now float64) float64 {
+				return demandAll(rig, 0, now)
+			},
+			trigger: func(t *testing.T, rig *diffRig, now float64) float64 {
+				rig.m.MarkDeviceWritten(rig.regions[1], now)
+				return now
+			},
+		},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			rigs := [2]*diffRig{newDiffRig(t, c.capacity), newDiffRig(t, c.capacity)}
+			rigs[1].m.buildRing()
+			for ri, rig := range rigs {
+				lazy := ri == 0
+				for _, s := range c.sizes {
+					rig.register(t, s)
+				}
+				now := c.pre(t, rig, 0)
+				if len(rig.evicts) != 0 {
+					t.Fatalf("lazy=%v: the script evicted before its trigger", lazy)
+				}
+				if lazy {
+					assertUnlinked(t, rig.m, "before the trigger")
+				}
+				now = c.trigger(t, rig, now)
+				if len(rig.evicts) == 0 {
+					t.Fatalf("lazy=%v: the trigger did not evict", lazy)
+				}
+				assertRingSorted(t, rig.m, "after the trigger")
+				ops := rand.New(rand.NewSource(99))
+				for step := 0; step < 100; step++ {
+					if got, _ := rig.step(ops, now); !math.IsNaN(got) && got > now {
+						now = got
+					}
+				}
+				assertRingSorted(t, rig.m, "after the random tail")
+			}
+			compareRigs(t, rigs[0], rigs[1])
+		})
+	}
+}
+
+// TestRedundantPrefetchKeepsLRUOrder pins which operations stamp a
+// chunk, now that stamps order the ring's build: a PrefetchRegion (or
+// MarkDeviceWritten, MarkDirty, writeback) over an already-resident
+// region must not refresh its LRU position, in lazy mode and in ring
+// mode alike. The goldens hold this behaviour.
+func TestRedundantPrefetchKeepsLRUOrder(t *testing.T) {
+	const chunk = 2 << 20
+	for _, lazy := range []bool{true, false} {
+		rig := newDiffRig(t, 4*chunk)
+		if !lazy {
+			rig.m.buildRing()
+		}
+		for _, s := range []int64{2 * chunk, 2 * chunk, chunk} {
+			rig.register(t, s)
+		}
+		a, b, c := rig.regions[0], rig.regions[1], rig.regions[2]
+		now := rig.m.PrefetchRegion(a, 0)
+		now = rig.m.PrefetchRegion(b, now)
+		stamps := append([]int64(nil), a.lastUse...)
+		clock := rig.m.stamp
+
+		now = rig.m.PrefetchRegion(a, now)
+		rig.m.MarkDeviceWritten(a, now)
+		rig.m.MarkDirty(a, 0, a.Size)
+		now = rig.m.WritebackDirty(a, now)
+		if rig.m.stamp != clock || a.lastUse[0] != stamps[0] || a.lastUse[1] != stamps[1] {
+			t.Fatalf("lazy=%v: redundant operations restamped a: %v -> %v (clock %d -> %d)",
+				lazy, stamps, a.lastUse, clock, rig.m.stamp)
+		}
+
+		rig.m.DemandChunk(c, 0, now, 1, false)
+		if len(rig.evicts) != 1 || rig.evicts[0].region != 0 || rig.evicts[0].idx != 0 {
+			t.Fatalf("lazy=%v: evictions %+v, want a[0] alone", lazy, rig.evicts)
 		}
 	}
 }

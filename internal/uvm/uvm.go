@@ -10,11 +10,15 @@
 // traffic naturally contends with (and overlaps) everything else on the
 // interconnect — the mechanism behind the U1 pipeline stage of Figure 1.
 //
-// Eviction bookkeeping is constant-time: a global LRU ring plus
-// per-region resident counters (see lru.go) replace the full residency
-// scan the evictor used to pay per victim, and an ascending dirty-index
-// queue (dirty.go) lets the writeback paths visit only dirty chunks. All
-// link state lives in index-linked flat arenas owned by the Manager, and
+// Eviction bookkeeping is constant-time: per-chunk last-use stamps, a
+// global LRU ring and per-region resident counters (see lru.go) replace
+// the full residency scan the evictor used to pay per victim. The ring is
+// lazy: until the manager first has to evict, a touch only bumps the
+// chunk's stamp and no chunk is linked; the first eviction builds the
+// ring from the resident chunks sorted by stamp, and from then until
+// Reset it is kept eagerly. An ascending dirty-index queue (dirty.go)
+// lets the writeback paths visit only dirty chunks. All link state lives
+// in index-linked flat arenas owned by the Manager, and
 // Regions are recycled through a free list across Register/Unregister
 // cycles, so a warmed-up manager simulates without allocating or writing
 // heap pointers. The pre-optimization scan evictor lives on as a test
@@ -75,7 +79,6 @@ type Region struct {
 	slot          int32 // this region's index in Manager.regs
 	base          int32 // first owned slot in the Manager node arena
 	nodeCap       int32 // owned arena slots (maximum chunk count)
-	resHead       int32 // head of the resident list, -1 = empty
 	residentCount int
 	residentBytes int64
 	dirtyCount    int
@@ -111,7 +114,7 @@ type Manager struct {
 	resident int64 // managed bytes currently on-device
 	stamp    int64 // LRU clock
 
-	// Flat arenas. nodes holds every chunk's intrusive list links as
+	// Flat arenas. nodes holds every chunk's intrusive ring links as
 	// int32 slot indices (slot 0 is the global LRU sentinel); regs holds
 	// every Region ever created, indexed by Region.slot so victim lookup
 	// resolves a node's owner without a pointer in the node. free lists
@@ -120,6 +123,11 @@ type Manager struct {
 	nodes []chunkNode
 	regs  []*Region
 	free  []*Region
+	// ringed reports that the LRU ring has been built (the manager has
+	// evicted since its last Reset); ringKeys is the build's sort
+	// scratch, kept warm across Resets.
+	ringed   bool
+	ringKeys []ringKey
 	// onEvict, when non-nil, observes every eviction just before the
 	// victim is released (region, chunk, eviction-complete time). The
 	// differential test uses it to check each victim against a
@@ -202,7 +210,6 @@ func (m *Manager) takeRegion(n int) *Region {
 		slot:    int32(len(m.regs)),
 		base:    int32(len(m.nodes)),
 		nodeCap: int32(n),
-		resHead: -1,
 		arrival: make([]float64, n),
 		lastUse: make([]int64, n),
 		dirty:   make([]bool, n),
@@ -217,8 +224,8 @@ func (m *Manager) takeRegion(n int) *Region {
 }
 
 // Unregister drops the region, releasing its device residency, and
-// recycles the object onto the free list. It walks only the region's
-// resident chunks and dirty queue, not every chunk.
+// recycles the object onto the free list. It scans the region's
+// arrivals once and walks its dirty queue.
 func (m *Manager) Unregister(r *Region) error {
 	if reg, ok := m.regions[r.id]; !ok || reg != r {
 		return fmt.Errorf("uvm: unregister of unknown region %d", r.id)
@@ -229,19 +236,19 @@ func (m *Manager) Unregister(r *Region) error {
 	return nil
 }
 
-// releaseAll unlinks every resident chunk of r from the global ring and
-// the region list and clears the arrivals.
+// releaseAll clears every arrival of r and, in ring mode, unlinks its
+// resident chunks from the ring.
 func (m *Manager) releaseAll(r *Region) {
-	for s := r.resHead; s >= 0; {
-		n := &m.nodes[s]
-		r.arrival[n.idx] = math.Inf(1)
-		m.nodes[n.prev].next = n.next
-		m.nodes[n.next].prev = n.prev
-		next := n.rnext
-		n.prev, n.next, n.rprev, n.rnext = -1, -1, -1, -1
-		s = next
+	if r.residentCount > 0 {
+		for i, a := range r.arrival {
+			if !math.IsInf(a, 1) {
+				r.arrival[i] = math.Inf(1)
+				if m.ringed {
+					m.unlink(r.base + int32(i))
+				}
+			}
+		}
 	}
-	r.resHead = -1
 	m.resident -= r.residentBytes
 	r.residentBytes = 0
 	r.residentCount = 0
@@ -260,13 +267,13 @@ func (m *Manager) recycle(r *Region) {
 	m.free = append(m.free, r)
 }
 
-// Reset force-unregisters every remaining region and restarts the id and
-// stamp clocks, returning the manager to its post-NewManager state while
-// keeping every arena warm for reuse. Configuration (capacity,
-// observers, the Stats sink) is preserved; the caller owns re-zeroing
-// Stats. Recycling is deterministic and recycled regions are
-// indistinguishable from fresh ones, so a reset manager reproduces a
-// fresh manager's simulation bit for bit.
+// Reset force-unregisters every remaining region, restarts the id and
+// stamp clocks and drops back to the lazy (unlinked) LRU mode, returning
+// the manager to its post-NewManager state while keeping every arena warm
+// for reuse. Configuration (capacity, observers, the Stats sink) is
+// preserved; the caller owns re-zeroing Stats. Recycling is deterministic
+// and recycled regions are indistinguishable from fresh ones, so a reset
+// manager reproduces a fresh manager's simulation bit for bit.
 func (m *Manager) Reset() {
 	for id, r := range m.regions {
 		m.releaseAll(r)
@@ -276,6 +283,7 @@ func (m *Manager) Reset() {
 	m.nextID = 0
 	m.resident = 0
 	m.stamp = 0
+	m.ringed = false
 }
 
 // chunkSize returns the byte size of chunk idx (the tail chunk may be
@@ -292,8 +300,9 @@ func (m *Manager) chunkSize(r *Region, idx int) int64 {
 // makeRoom evicts least-recently-used resident chunks until need bytes
 // fit. Dirty victims are written back over PCIe at time t; eviction
 // completion can push the effective availability time forward, which the
-// caller receives. Victim selection is O(1) per eviction (ring head) and
-// the whole call is O(1) when the need already fits.
+// caller receives. Victim selection is O(1) per eviction (ring head,
+// after the one-time ring build) and the whole call is O(1) when the need
+// already fits.
 func (m *Manager) makeRoom(t float64, need int64) float64 {
 	ready := t
 	for m.resident+need > m.capacity {
