@@ -40,37 +40,57 @@ func allocTestRunner() *Runner {
 	return r
 }
 
+// TestMeasureCellSteadyStateAllocFree checks vector_seq under every
+// setup, and every registered workload at one managed setup: a warm
+// cell's allocation count must not grow with its iteration count. The
+// one exception is the darknet networks' per-run table of layer weight
+// buffers, one allocation per iteration.
 func TestMeasureCellSteadyStateAllocFree(t *testing.T) {
-	w, err := workloads.ByName("vector_seq")
+	vectorSeq, err := workloads.ByName("vector_seq")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// check measures w at 2 and 12 iterations. With perIter 0 the two
+	// per-call counts must be equal; otherwise the count may grow by at
+	// most perIter for each extra iteration.
+	check := func(t *testing.T, w workloads.Workload, setup cuda.Setup, perIter float64) {
+		r := allocTestRunner()
+		perCall := func(iters int) float64 {
+			r.Iterations = iters
+			return testing.AllocsPerRun(3, func() {
+				if _, err := r.measureCell(w, setup, workloads.Large); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Warm both iteration counts before comparing (AllocsPerRun
+		// itself runs one extra warm-up call).
+		perCall(12)
+		few := perCall(2)
+		many := perCall(12)
+		if (perIter == 0 && few != many) || many-few > perIter*(12-2) {
+			t.Errorf("allocations grow with iteration count: %.1f per call at 2 iters, %.1f at 12"+
+				" — more than %v per iteration", few, many, perIter)
+		}
+		if many > steadyCeiling+perIter*12 {
+			t.Errorf("steady-state measureCell allocates %.1f per call, ceiling %v", many, steadyCeiling+perIter*12)
+		}
+	}
 	for _, setup := range cuda.Registered() {
 		setup := setup
-		t.Run(setup.String(), func(t *testing.T) {
-			r := allocTestRunner()
-			perCall := func(iters int) float64 {
-				r.Iterations = iters
-				return testing.AllocsPerRun(3, func() {
-					if _, err := r.measureCell(w, setup, workloads.Large); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			// Warm both iteration counts before comparing (AllocsPerRun
-			// itself runs one extra warm-up call).
-			perCall(12)
-			few := perCall(2)
-			many := perCall(12)
-			if few != many {
-				t.Errorf("allocations grow with iteration count: %.1f per call at 2 iters, %.1f at 12"+
-					" — the iteration loop is no longer alloc-free", few, many)
-			}
-			if many > steadyCeiling {
-				t.Errorf("steady-state measureCell allocates %.1f per call, ceiling %d", many, steadyCeiling)
-			}
-		})
+		t.Run(setup.String(), func(t *testing.T) { check(t, vectorSeq, setup, 0) })
 	}
+	t.Run("workloads", func(t *testing.T) {
+		for _, w := range workloads.All() {
+			w := w
+			perIter := 0.0
+			switch w.Name() {
+			case "resnet18", "resnet50", "yolov3-tiny", "yolov3":
+				perIter = 1
+			}
+			t.Run(w.Name(), func(t *testing.T) { check(t, w, cuda.UVMPrefetchAsync, perIter) })
+		}
+	})
 }
 
 func TestMeasureCellWarmupAllocCeiling(t *testing.T) {

@@ -13,6 +13,10 @@ func (iv Interval) Len() float64 { return iv.End - iv.Start }
 // IntervalSet accumulates busy intervals of a resource. Intervals must be
 // added in non-decreasing start order (which FIFO links guarantee);
 // overlapping or adjacent intervals are merged so the set stays compact.
+//
+// Invariant: the stored intervals are sorted and pairwise disjoint with
+// gaps between them (ivs[i].End < ivs[i+1].Start), so both starts and
+// ends strictly increase. Overlap's binary search relies on it.
 type IntervalSet struct {
 	ivs []Interval
 }
@@ -51,22 +55,38 @@ func (s *IntervalSet) Total() float64 {
 	return sum
 }
 
-// Overlap returns the amount of busy time that falls inside [a, b).
+// Overlap returns the amount of busy time that falls inside [a, b). It
+// binary-searches the first interval ending after a and stops at the
+// first starting at or after b; every interval it skips contributes
+// exactly nothing, so the sum (and its rounding) equals a full scan's.
 func (s *IntervalSet) Overlap(a, b float64) float64 {
 	if b <= a {
 		return 0
 	}
+	ivs := s.ivs
+	lo, hi := 0, len(ivs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ivs[m].End > a {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
 	sum := 0.0
-	for _, iv := range s.ivs {
-		lo, hi := iv.Start, iv.End
-		if lo < a {
-			lo = a
+	for _, iv := range ivs[lo:] {
+		if iv.Start >= b {
+			break
 		}
-		if hi > b {
-			hi = b
+		l, h := iv.Start, iv.End
+		if l < a {
+			l = a
 		}
-		if hi > lo {
-			sum += hi - lo
+		if h > b {
+			h = b
+		}
+		if h > l {
+			sum += h - l
 		}
 	}
 	return sum

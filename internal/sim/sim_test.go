@@ -151,6 +151,90 @@ func TestIntervalSetOverlap(t *testing.T) {
 	}
 }
 
+// overlapScan is the linear-scan Overlap the binary search replaced,
+// kept as the oracle: it clips every interval to [a, b) in order.
+func overlapScan(ivs []Interval, a, b float64) float64 {
+	if b <= a {
+		return 0
+	}
+	sum := 0.0
+	for _, iv := range ivs {
+		lo, hi := iv.Start, iv.End
+		if lo < a {
+			lo = a
+		}
+		if hi > b {
+			hi = b
+		}
+		if hi > lo {
+			sum += hi - lo
+		}
+	}
+	return sum
+}
+
+// TestIntervalSetOverlapMatchesScan checks the searched Overlap against
+// the scan with ==, not a tolerance: Breakdown's output bytes depend on
+// the sum being bit-identical. Windows are drawn to land exactly on
+// interval boundaries, before the first and after the last interval,
+// and empty or inverted.
+func TestIntervalSetOverlapMatchesScan(t *testing.T) {
+	check := func(s *IntervalSet, a, b float64) {
+		t.Helper()
+		if got, want := s.Overlap(a, b), overlapScan(s.ivs, a, b); got != want {
+			t.Fatalf("Overlap(%v, %v) = %v, scan = %v over %v", a, b, got, want, s.ivs)
+		}
+	}
+	var empty IntervalSet
+	check(&empty, 0, 10)
+	check(&empty, 10, 0)
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		var s IntervalSet
+		at := rng.Float64() * 100
+		for n := rng.Intn(40); n > 0; n-- {
+			// Gaps of zero make adjacent adds merge; negative gaps overlap.
+			at += rng.Float64()*30 - 5
+			if at < 0 {
+				at = 0
+			}
+			if n := s.Count(); n > 0 && at < s.ivs[n-1].Start {
+				at = s.ivs[n-1].Start
+			}
+			end := at + rng.Float64()*50
+			if rng.Intn(4) == 0 {
+				end = at + 1e-9*rng.Float64()
+			}
+			s.Add(at, end)
+			at = end
+		}
+		for i := 1; i < s.Count(); i++ {
+			if !(s.ivs[i-1].End < s.ivs[i].Start) {
+				t.Fatalf("set not sorted and disjoint: %v", s.ivs)
+			}
+		}
+		// Candidate window edges: every boundary, points just inside and
+		// outside them, and the space beyond both ends.
+		edges := []float64{-1e9, -1, 0, 1e12}
+		for _, iv := range s.ivs {
+			edges = append(edges, iv.Start, iv.End,
+				math.Nextafter(iv.Start, -1), math.Nextafter(iv.End, 1e18),
+				iv.Start+iv.Len()/3)
+		}
+		for k := 0; k < 200; k++ {
+			a := edges[rng.Intn(len(edges))]
+			b := edges[rng.Intn(len(edges))]
+			if rng.Intn(8) == 0 {
+				b = a
+			}
+			check(&s, a, b)
+			check(&s, b, a)
+			check(&s, a, a+rng.Float64()*200)
+		}
+	}
+}
+
 func TestLinkFIFO(t *testing.T) {
 	e := New()
 	l := NewLink(e, "pcie", GBPerSec(10)) // 10 bytes/ns

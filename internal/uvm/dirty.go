@@ -15,7 +15,15 @@ import "sort"
 // into the dirty queue. Because chunk indices in a contiguous range
 // occupy one contiguous span of the ascending queue, the splice is a
 // single copy regardless of how many of them were already queued.
+//
+// A region whose every chunk is dirty and queued (queue entries are
+// unique, so a full-length queue holds each index once) has nothing to
+// change; that state — a kernel rewriting its whole output every launch
+// — returns before walking the range.
 func (r *Region) markDirtyRange(first, last int) {
+	if r.dirtyCount == len(r.dirty) && len(r.dirtyQ) == len(r.dirty) {
+		return
+	}
 	for i := first; i <= last; i++ {
 		if !r.dirty[i] {
 			r.dirty[i] = true

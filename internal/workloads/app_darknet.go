@@ -20,7 +20,31 @@ type darknetBench struct {
 	name  string
 	build func() *darknet.Network
 	once  sync.Once
-	net   *darknet.Network // built lazily, cached; read-only once built
+	low   *darknetLowered // built lazily, cached; read-only once built
+}
+
+// darknetBatch is the batch every inference runs at: darknet's harness
+// runs batch-1 detection/classification, and the cached lowering is
+// computed for exactly this batch.
+const darknetBatch = 1
+
+// darknetLowered is a network lowered once to what each Run launches:
+// per-layer kernel specs and the buffer names and sizes, so the
+// per-image layer loop only indexes.
+type darknetLowered struct {
+	net      *darknet.Network
+	layers   []loweredLayer
+	actA     string // ping-pong activation buffer names
+	actB     string
+	actBytes int64
+}
+
+// loweredLayer is one layer at darknetBatch: its kernel spec, named
+// <net>_l<i>_<kernel>, and its weight buffer (weightBytes 0 = none).
+type loweredLayer struct {
+	spec        gpu.KernelSpec
+	weight      string
+	weightBytes int64
 }
 
 func newResNet18() Workload   { return &darknetBench{name: "resnet18", build: darknet.ResNet18} }
@@ -31,12 +55,36 @@ func newYoloV3() Workload     { return &darknetBench{name: "yolov3", build: dark
 func (d *darknetBench) Name() string   { return d.name }
 func (d *darknetBench) Domain() string { return "machine learning" }
 
-// network builds the graph once. Workload values are registry singletons
-// shared by concurrent harness workers, so the build is synchronized;
-// the Network itself is never mutated after construction.
-func (d *darknetBench) network() *darknet.Network {
-	d.once.Do(func() { d.net = d.build() })
-	return d.net
+// lowered builds and lowers the graph once. Workload values are registry
+// singletons shared by concurrent harness workers, so the build is
+// synchronized; nothing it returns is mutated after construction.
+func (d *darknetBench) lowered() *darknetLowered {
+	d.once.Do(func() { d.low = lower(d.name, d.build()) })
+	return d.low
+}
+
+// lower computes a network's per-layer launches at darknetBatch.
+func lower(name string, net *darknet.Network) *darknetLowered {
+	low := &darknetLowered{
+		net:      net,
+		layers:   make([]loweredLayer, len(net.Layers)),
+		actA:     name + ".actA",
+		actB:     name + ".actB",
+		actBytes: int64(net.MaxActivation()) * 4 * darknetBatch,
+	}
+	for i, l := range net.Layers {
+		spec := layerSpec(l, darknetBatch)
+		spec.Name = fmt.Sprintf("%s_l%d_%s", name, i, spec.Name)
+		ll := loweredLayer{spec: spec}
+		// Per-layer weight buffers (prefetch granularity matches what the
+		// darknet UVM port does: one managed allocation per layer).
+		if w := l.Weights(); w > 0 {
+			ll.weight = fmt.Sprintf("%s.w%d", name, i)
+			ll.weightBytes = int64(w) * 4
+		}
+		low.layers[i] = ll
+	}
+	return low
 }
 
 // imagesFor scales the inference workload with the input class: darknet
@@ -92,31 +140,29 @@ func layerSpec(l darknet.Layer, batch int64) gpu.KernelSpec {
 }
 
 func (d *darknetBench) Run(ctx *cuda.Context, size Size) error {
-	net := d.network()
-	const batch = 1
+	low := d.lowered()
 	images := imagesFor(size)
 
-	// Per-layer weight buffers (prefetch granularity matches what the
-	// darknet UVM port does: one managed allocation per layer).
-	weightBufs := make([]*cuda.Buffer, len(net.Layers))
-	for i, l := range net.Layers {
-		if w := l.Weights(); w > 0 {
-			b, err := ctx.Alloc(fmt.Sprintf("%s.w%d", d.name, i), int64(w)*4)
-			if err != nil {
-				return err
-			}
-			weightBufs[i] = b
-			if err := ctx.Upload(b); err != nil {
-				return err
-			}
+	weightBufs := make([]*cuda.Buffer, len(low.layers))
+	for i := range low.layers {
+		ll := &low.layers[i]
+		if ll.weightBytes == 0 {
+			continue
+		}
+		b, err := ctx.Alloc(ll.weight, ll.weightBytes)
+		if err != nil {
+			return err
+		}
+		weightBufs[i] = b
+		if err := ctx.Upload(b); err != nil {
+			return err
 		}
 	}
-	actBytes := int64(net.MaxActivation()) * 4 * batch
-	actA, err := ctx.Alloc(d.name+".actA", actBytes)
+	actA, err := ctx.Alloc(low.actA, low.actBytes)
 	if err != nil {
 		return err
 	}
-	actB, err := ctx.Alloc(d.name+".actB", actBytes)
+	actB, err := ctx.Alloc(low.actB, low.actBytes)
 	if err != nil {
 		return err
 	}
@@ -128,16 +174,15 @@ func (d *darknetBench) Run(ctx *cuda.Context, size Size) error {
 		if err := ctx.Upload(in); err != nil { // the next input image
 			return err
 		}
-		for i, l := range net.Layers {
-			spec := layerSpec(l, batch)
-			spec.Name = fmt.Sprintf("%s_l%d_%s", d.name, i, spec.Name)
-			reads := []*cuda.Buffer{in}
+		for i := range low.layers {
+			reads := [2]*cuda.Buffer{in, weightBufs[i]}
+			nr := 1
 			if weightBufs[i] != nil {
-				reads = append(reads, weightBufs[i])
+				nr = 2
 			}
 			if err := ctx.Launch(cuda.Launch{
-				Spec:   spec,
-				Reads:  reads,
+				Spec:   low.layers[i].spec,
+				Reads:  reads[:nr],
 				Writes: []*cuda.Buffer{out},
 			}); err != nil {
 				return err
@@ -167,7 +212,7 @@ func (d *darknetBench) Run(ctx *cuda.Context, size Size) error {
 // resolution so the naive conv stays fast) and checks the forward pass
 // produces finite, structurally consistent activations.
 func (d *darknetBench) Validate() error {
-	net := d.network()
+	net := d.lowered().net
 	small := darknet.Rebuild(net, reducedInput(net.Input))
 	params := darknet.InitParams(small, 21)
 	in := darknet.NewTensor(small.Input)

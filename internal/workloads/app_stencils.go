@@ -115,8 +115,8 @@ func (sradBench) Run(ctx *cuda.Context, size Size) error {
 	// J, four direction buffers and the coefficient grid: 6 grids.
 	n := size.Dim2D(6)
 	cells := n * n
-	names := []string{"srad.J", "srad.dN", "srad.dS", "srad.dW", "srad.dE", "srad.c"}
-	bufs := make([]*cuda.Buffer, len(names))
+	names := [...]string{"srad.J", "srad.dN", "srad.dS", "srad.dW", "srad.dE", "srad.c"}
+	var bufs [len(names)]*cuda.Buffer
 	for i, name := range names {
 		b, err := ctx.Alloc(name, 4*cells)
 		if err != nil {

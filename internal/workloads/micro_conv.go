@@ -65,10 +65,16 @@ func conv3dKernel(in, out []float32, n int) {
 type convBench struct {
 	name string
 	dims int
+	// Buffer names, built once rather than on every Run.
+	inName, outName string
 }
 
-func newConv2D() Workload { return &convBench{name: "2DCONV", dims: 2} }
-func newConv3D() Workload { return &convBench{name: "3DCONV", dims: 3} }
+func newConvBench(name string, dims int) *convBench {
+	return &convBench{name: name, dims: dims, inName: name + ".in", outName: name + ".out"}
+}
+
+func newConv2D() Workload { return newConvBench("2DCONV", 2) }
+func newConv3D() Workload { return newConvBench("3DCONV", 3) }
 
 func (c *convBench) Name() string   { return c.name }
 func (c *convBench) Domain() string { return "image processing" }
@@ -90,11 +96,11 @@ func (c *convBench) Run(ctx *cuda.Context, size Size) error {
 		points = 27
 		intPerCell = 120
 	}
-	in, err := ctx.Alloc(c.name+".in", 4*cells)
+	in, err := ctx.Alloc(c.inName, 4*cells)
 	if err != nil {
 		return err
 	}
-	out, err := ctx.Alloc(c.name+".out", 4*cells)
+	out, err := ctx.Alloc(c.outName, 4*cells)
 	if err != nil {
 		return err
 	}
